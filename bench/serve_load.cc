@@ -12,8 +12,10 @@
 //   - zero correctness divergences at every thread count;
 //   - overload accounting balances (processed + shed == submitted);
 //   - >= 2x speedup at 4 worker threads over 1 — enforced only when the
-//     host has >= 4 hardware threads (a single-core container cannot
-//     exhibit parallel speedup; the gate is then recorded as skipped).
+//     host has >= 4 hardware threads (fewer cannot exhibit parallel
+//     speedup) and the 1-thread run lasts >= 0.5 s (a run of a few ms, like
+//     the ctest smoke load, measures thread start-up and scheduling noise).
+//     A skipped gate is recorded with its reason in BENCH_serve.json.
 //
 // Flags: --sessions=N --strokes=N --batch=N (points per event)
 //        --rate=N (paced aggregate points/sec; 0 = unpaced, the default)
@@ -328,8 +330,8 @@ int main(int argc, char** argv) {
   }
 
   // Speedup gate: parallel speedup is only physically possible with >= 4
-  // hardware threads; on smaller hosts record the measurement but skip the
-  // assertion.
+  // hardware threads, and only measurable when the 1-thread run is long
+  // enough; otherwise record the measurement but skip the assertion.
   double speedup_4t = 0.0;
   const RunResult* base = nullptr;
   const RunResult* quad = nullptr;
@@ -337,11 +339,16 @@ int main(int argc, char** argv) {
     if (run.threads == 1) base = &run;
     if (run.threads == 4) quad = &run;
   }
-  const bool gate_enforced = hardware >= 4;
+  constexpr double kMinGateRunMs = 500.0;
+  const bool long_run = base != nullptr && base->wall_ms >= kMinGateRunMs;
+  const bool gate_enforced = hardware >= 4 && long_run;
+  const char* gate = gate_enforced   ? "enforced"
+                     : hardware < 4 ? "skipped_low_cores"
+                                    : "skipped_short_run";
   if (base != nullptr && quad != nullptr && base->points_per_sec > 0.0) {
     speedup_4t = quad->points_per_sec / base->points_per_sec;
-    std::printf("speedup at 4 threads: %.2fx (%s)\n", speedup_4t,
-                gate_enforced ? "gate: >= 2x enforced" : "gate skipped: < 4 hw threads");
+    std::printf("speedup at 4 threads: %.2fx (gate: %s)\n", speedup_4t,
+                gate_enforced ? ">= 2x enforced" : gate);
     if (gate_enforced && speedup_4t < 2.0) {
       std::printf("FAIL: 4-thread speedup %.2fx < 2x\n", speedup_4t);
       ok = false;
@@ -360,8 +367,8 @@ int main(int argc, char** argv) {
       .KV("hardware_concurrency", static_cast<std::uint64_t>(hardware))
       .KV("speedup_4t_over_1t", speedup_4t)
       // Not a silent skip: the artifact records that the gate didn't run and
-      // why (too few cores for parallel speedup to be physically possible).
-      .KV("speedup_gate", gate_enforced ? "enforced" : "skipped_low_cores")
+      // why (too few cores, or a 1-thread run too short to measure).
+      .KV("speedup_gate", gate)
       .KV("speedup_gate_cores", static_cast<std::uint64_t>(hardware));
   json.Key("runs").BeginArray();
   for (const RunResult& run : runs) {

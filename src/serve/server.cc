@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
@@ -12,6 +11,12 @@
 namespace grandma::serve {
 
 namespace {
+
+// Max events a shard worker takes from its queue at once. One CAS claims the
+// run and one clock read stamps it; per-event processing is unchanged — one
+// queue.wait sample, deadline check, and dispatch per event, in submission
+// order.
+constexpr std::size_t kBatchDequeue = 16;
 
 // SplitMix64 finalizer: sequential session ids (the common allocation
 // pattern) must still spread uniformly across shards.
@@ -133,14 +138,10 @@ void RecognitionServer::WorkerLoop(Shard& shard) {
     }
   };
 
-  // Batch dequeue: drain up to batch_dequeue events per queue wakeup. The
-  // buffer is reused across wakeups; PopBatch clears it. Events still process
-  // strictly in submission order with per-event accounting — batching only
-  // amortizes the lock round-trip and wakeup.
+  // The buffer is reused across batches; PopBatch clears it.
   std::vector<ServeEvent> batch;
-  const std::size_t batch_max = std::max<std::size_t>(options_.batch_dequeue, 1);
-  batch.reserve(batch_max);
-  while (shard.queue.PopBatch(batch, batch_max) > 0) {
+  batch.reserve(kBatchDequeue);
+  while (shard.queue.PopBatch(batch, kBatchDequeue) > 0) {
     // One clock read per batch: every event in it was dequeued at the same
     // instant, so a shared `now` is both cheaper and more honest.
     const auto now = std::chrono::steady_clock::now();

@@ -2,7 +2,8 @@
 // a bounded event queue and a private session table; a session is pinned to
 // one shard by id hash, so all of its events are processed in submission
 // order by one thread while different sessions recognize in parallel. The
-// only shared mutable state is the queues (mutex-protected) and the metrics
+// only shared mutable state is the queues (lock-free rings whose idle
+// workers spin briefly, then park; see bounded_queue.h) and the metrics
 // (relaxed atomics); the trained model is shared immutably via
 // RecognizerBundle.
 //
@@ -66,12 +67,6 @@ struct ServerOptions {
   AdmissionOptions admission;
   // Optional observer for worker-side drops (deadline-expired events).
   DropSink on_drop;
-  // Max events a shard worker drains per queue wakeup (clamped to >= 1).
-  // Batch dequeue amortizes the queue lock and the consumer wakeup across
-  // bursts (ROADMAP item 2); per-event processing semantics are unchanged —
-  // one queue.wait sample, deadline check, and dispatch per event, in
-  // submission order.
-  std::size_t batch_dequeue = 16;
   // When false, workers are not spawned until Start() — events queue up (and
   // shed) deterministically. Tests use this to exercise the backpressure and
   // drain paths without timing races.

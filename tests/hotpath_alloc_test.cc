@@ -1,6 +1,7 @@
 // The allocation contract of the recognition hot path (ctest label
 // `hotpath`): after warm-up, the steady-state per-point loop — EagerStream
-// and serve::Session both — performs ZERO heap allocations. Enforced with
+// and serve::Session both — performs ZERO heap allocations, and so does the
+// serve queue that carries events to the session. Enforced with
 // the counting operator-new harness in tests/support/counting_new.h.
 //
 // Also pins down that the zero-allocation kernel path is bit-identical to
@@ -18,6 +19,8 @@
 #include "features/extractor.h"
 #include "obs/trace.h"
 #include "personalize/user_delta.h"
+#include "serve/bounded_queue.h"
+#include "serve/event.h"
 #include "serve/session.h"
 #include "synth/generator.h"
 #include "synth/sets.h"
@@ -172,6 +175,34 @@ TEST(HotpathAllocTest, ServeSessionSteadyStateIsAllocationFree) {
   EXPECT_GE(points, 1000u);
   EXPECT_GT(slot, 0u);
   EXPECT_EQ(session.stats().points_seen, points + pool[0].size());
+}
+
+// The per-shard queue between Submit and the worker: after construction,
+// pushing and popping events never touches the heap, across many trips
+// around the ring. The events carry no points, so they own no heap memory
+// themselves.
+TEST(HotpathAllocTest, ServeQueueRoundTripIsAllocationFree) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kTrips = 12;
+  serve::BoundedQueue<serve::ServeEvent> queue(kCapacity);
+  std::vector<serve::ServeEvent> batch;
+  batch.reserve(16);
+
+  std::size_t pushed = 0;
+  std::size_t popped = 0;
+  const std::uint64_t allocs = CountAllocations([&] {
+    for (std::size_t trip = 0; trip < kTrips; ++trip) {
+      for (std::size_t i = 0; i < kCapacity; ++i) {
+        pushed += queue.Push({i, serve::EventType::kStrokeBegin, 1, {}, {}}) ? 1 : 0;
+      }
+      while (popped < pushed) {
+        popped += queue.PopBatch(batch, 16);
+      }
+    }
+  });
+  EXPECT_EQ(allocs, 0u) << "after " << popped << " events";
+  EXPECT_EQ(pushed, kTrips * kCapacity);
+  EXPECT_EQ(popped, pushed);
 }
 
 // RAII guard: tracing enabled at fine detail for the scope of one test, with

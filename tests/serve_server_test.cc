@@ -1,18 +1,15 @@
 // Single-threaded-observable behavior of the serve layer: bundle freezing,
-// queue semantics, session lifecycle, the backpressure/shed path (exercised
+// session lifecycle, the backpressure/shed path (exercised
 // deterministically with parked workers), shutdown draining, and 1-shard
 // determinism against the in-process EagerStream reference.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "eager/eager_recognizer.h"
-#include "serve/bounded_queue.h"
 #include "serve/event.h"
 #include "serve/recognizer_bundle.h"
 #include "serve/server.h"
@@ -74,39 +71,6 @@ ReferenceOutcome ReferenceRecognize(const eager::EagerRecognizer& r, const geom:
   }
   out.final_class = stream.ClassifyNow().class_id;
   return out;
-}
-
-TEST(BoundedQueueTest, TryPushFailsWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.max_depth(), 2u);
-}
-
-TEST(BoundedQueueTest, CloseDrainsThenEndsStream) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.TryPush(7));
-  ASSERT_TRUE(q.TryPush(8));
-  q.Close();
-  EXPECT_FALSE(q.TryPush(9));
-  EXPECT_EQ(q.Pop(), std::optional<int>(7));
-  EXPECT_EQ(q.Pop(), std::optional<int>(8));
-  EXPECT_EQ(q.Pop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, BlockingPushWaitsForPop) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(1));
-  std::thread producer([&q] { EXPECT_TRUE(q.Push(2)); });
-  EXPECT_EQ(q.Pop(), std::optional<int>(1));
-  EXPECT_EQ(q.Pop(), std::optional<int>(2));
-  producer.join();
-}
-
-TEST(BoundedQueueTest, ZeroCapacityRejected) {
-  EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
 }
 
 TEST(RecognizerBundleTest, TrainFreezesASharedModel) {
