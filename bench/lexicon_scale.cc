@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -106,58 +107,70 @@ std::vector<geom::Gesture> DensePool(const eager::EagerRecognizer& r,
 }
 
 // One accuracy-and-latency row: trains an eager recognizer on `specs`,
-// measures held-out accuracy, then replays the eval-dense test pool through
-// the SoA batched path (EagerStream::AddSpan at the best dispatch tier)
-// collecting per-point latency samples.
-Row MeasureRow(const std::string& name, const std::vector<synth::PathSpec>& specs,
-               std::size_t per_class_train, std::size_t per_class_test, std::size_t reps) {
-  Row row;
-  row.name = name;
-  row.classes = specs.size();
-
-  synth::NoiseModel noise;
-  const classify::GestureTrainingSet train =
-      synth::ToTrainingSet(synth::GenerateSet(specs, noise, per_class_train, kTrainSeed));
-  const classify::GestureTrainingSet test =
-      synth::ToTrainingSet(synth::GenerateSet(specs, noise, per_class_test, kTestSeed));
-
-  eager::EagerRecognizer r;
-  r.Train(train);
-  row.accuracy = classify::EvaluateClassifier(r.full(), test).Accuracy();
-
-  const std::vector<geom::Gesture> pool = DensePool(r, TestPool(specs, per_class_test));
-  eager::EagerStream stream(r);
-  double checksum = 0.0;
-  // Warm-up pass (sizes lazy buffers, faults in code + data).
-  for (const geom::Gesture& g : pool) {
-    eager::FireEvent fire;
-    stream.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);
-    checksum += stream.ClassifyNow().score;
-    stream.Reset();
-  }
-  std::vector<double> samples;
-  samples.reserve(reps * pool.size());
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (const geom::Gesture& g : pool) {
+// measures held-out accuracy, and replays the eval-dense test pool through
+// the SoA batched path (EagerStream::AddSpan at the best dispatch tier),
+// one per-point latency sample per stroke and rep. Holds the stream that
+// points at its recognizer, so it stays where it was built.
+class RowBench {
+ public:
+  RowBench(const std::string& name, const std::vector<synth::PathSpec>& specs,
+           std::size_t per_class_train, std::size_t per_class_test)
+      : stream_(recognizer_) {
+    row_.name = name;
+    row_.classes = specs.size();
+    synth::NoiseModel noise;
+    const classify::GestureTrainingSet train =
+        synth::ToTrainingSet(synth::GenerateSet(specs, noise, per_class_train, kTrainSeed));
+    const classify::GestureTrainingSet test =
+        synth::ToTrainingSet(synth::GenerateSet(specs, noise, per_class_test, kTestSeed));
+    recognizer_.Train(train);
+    row_.accuracy = classify::EvaluateClassifier(recognizer_.full(), test).Accuracy();
+    pool_ = DensePool(recognizer_, TestPool(specs, per_class_test));
+    // Warm-up pass (sizes lazy buffers, faults in code + data).
+    for (const geom::Gesture& g : pool_) {
       eager::FireEvent fire;
-      const Clock::time_point start = Clock::now();
-      stream.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);
-      checksum += stream.ClassifyNow().score;
-      const Clock::time_point stop = Clock::now();
-      stream.Reset();
-      const double ns = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
-      samples.push_back(ns / static_cast<double>(g.size()));
-      row.points += g.size();
+      stream_.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);
+      checksum_ += stream_.ClassifyNow().score;
+      stream_.Reset();
     }
   }
-  row.p50_ns = Percentile(samples, 0.50);
-  row.p95_ns = Percentile(samples, 0.95);
-  if (!(checksum == checksum)) {
-    std::fprintf(stderr, "non-finite checksum\n");
+  RowBench(const RowBench&) = delete;
+  RowBench& operator=(const RowBench&) = delete;
+
+  std::size_t pool_size() const { return pool_.size(); }
+
+  // One latency sample: replays pool stroke `i` and records ns per point.
+  void TimeStroke(std::size_t i) {
+    const geom::Gesture& g = pool_[i];
+    eager::FireEvent fire;
+    const Clock::time_point start = Clock::now();
+    stream_.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);
+    checksum_ += stream_.ClassifyNow().score;
+    const Clock::time_point stop = Clock::now();
+    stream_.Reset();
+    const double ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
+    samples_.push_back(ns / static_cast<double>(g.size()));
+    row_.points += g.size();
   }
-  return row;
-}
+
+  Row Finish() {
+    row_.p50_ns = Percentile(samples_, 0.50);
+    row_.p95_ns = Percentile(samples_, 0.95);
+    if (!(checksum_ == checksum_)) {
+      std::fprintf(stderr, "non-finite checksum\n");
+    }
+    return row_;
+  }
+
+ private:
+  Row row_;
+  eager::EagerRecognizer recognizer_;
+  eager::EagerStream stream_;
+  std::vector<geom::Gesture> pool_;
+  std::vector<double> samples_;
+  double checksum_ = 0.0;
+};
 
 // Accuracy of a classifier trained on a `keep`-subset of the lexicon,
 // evaluated on held-out examples of the same subset.
@@ -211,11 +224,43 @@ int main(int argc, char** argv) {
   // --- Accuracy-and-latency rows at the three lexicon sizes. ---
   simd::ResetTier();
   const simd::Tier active = simd::ActiveTier();
+  std::vector<std::unique_ptr<RowBench>> benches;
+  benches.push_back(std::make_unique<RowBench>("gdp_11", synth::MakeGdpSpecs(),
+                                               per_class_train + 2, kPerClassTest));
+  benches.push_back(std::make_unique<RowBench>("lexicon_50", specs50, per_class_train,
+                                               kPerClassTest));
+  benches.push_back(std::make_unique<RowBench>("lexicon_200", specs200, per_class_train,
+                                               kPerClassTest));
+  // Every rep replays each row's pool once, and the rows' strokes interleave
+  // in proportion to pool size: the next stroke timed belongs to the row
+  // that has done the smallest share of its pool. So each row's samples
+  // spread evenly over the whole rep (the 200-class pool is 18x the 11-class
+  // one), a slow stretch of the host lands on every row alike, and the
+  // 200-vs-11 ratio gate below compares rows timed side by side.
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    std::vector<std::size_t> done(benches.size(), 0);
+    while (true) {
+      std::size_t pick = benches.size();
+      for (std::size_t k = 0; k < benches.size(); ++k) {
+        if (done[k] == benches[k]->pool_size()) {
+          continue;
+        }
+        // done[k] / size[k] < done[pick] / size[pick], without division.
+        if (pick == benches.size() ||
+            done[k] * benches[pick]->pool_size() < done[pick] * benches[k]->pool_size()) {
+          pick = k;
+        }
+      }
+      if (pick == benches.size()) {
+        break;
+      }
+      benches[pick]->TimeStroke(done[pick]++);
+    }
+  }
   std::vector<Row> rows;
-  rows.push_back(MeasureRow("gdp_11", synth::MakeGdpSpecs(), per_class_train + 2, kPerClassTest,
-                            reps));
-  rows.push_back(MeasureRow("lexicon_50", specs50, per_class_train, kPerClassTest, reps));
-  rows.push_back(MeasureRow("lexicon_200", specs200, per_class_train, kPerClassTest, reps));
+  for (const std::unique_ptr<RowBench>& bench : benches) {
+    rows.push_back(bench->Finish());
+  }
 
   std::printf("lexicon scaling (tier %s, %zu train/class, %zu reps)\n", simd::TierName(active),
               per_class_train, reps);

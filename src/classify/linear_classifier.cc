@@ -213,6 +213,16 @@ bool LinearClassifier::EvaluateWinnerInPrefix(linalg::VecView f, std::size_t spl
                                               f.data(), dimension(), split, num_classes());
 }
 
+std::size_t LinearClassifier::FirstWinnerInPrefix(const double* rows, std::size_t batch,
+                                                  std::size_t row_stride,
+                                                  const std::size_t* columns,
+                                                  std::size_t split) const {
+  assert(trained());
+  return linalg::simd::FirstArgMaxInPrefix(soa_weights_.data(), class_stride_, biases_.data(),
+                                           rows, batch, row_stride, columns, dimension(), split,
+                                           num_classes());
+}
+
 Classification LinearClassifier::ClassifyView(linalg::VecView f, linalg::MutVecView scores,
                                               linalg::MutVecView diff) const {
   TRACE_SPAN_FINE("classify.view");

@@ -131,6 +131,15 @@ class LinearClassifier {
   // features included (see simd::EvaluateArgMaxInPrefix).
   bool EvaluateWinnerInPrefix(linalg::VecView f, std::size_t split) const;
 
+  // Batched EvaluateWinnerInPrefix over `batch` rows read through a column
+  // list: row r's feature i is rows[r * row_stride + columns[i]] for
+  // i < dimension(). Returns the first row whose answer is true, or `batch`
+  // when none is; each row's answer is bit-identical to
+  // EvaluateWinnerInPrefix on its gathered features (see
+  // simd::FirstArgMaxInPrefix). No scratch.
+  std::size_t FirstWinnerInPrefix(const double* rows, std::size_t batch, std::size_t row_stride,
+                                  const std::size_t* columns, std::size_t split) const;
+
   // Full Classification (argmax + probability + Mahalanobis) reusing caller
   // scratch: `scores` sized num_classes(), `diff` sized dimension().
   Classification ClassifyView(linalg::VecView f, linalg::MutVecView scores,

@@ -1,5 +1,6 @@
 #include "eager/auc.h"
 
+#include <array>
 #include <stdexcept>
 
 #include "linalg/simd.h"
@@ -159,9 +160,8 @@ bool Auc::UnambiguousView(linalg::VecView masked_features, linalg::MutVecView sc
   return sets_[winner].complete;
 }
 
-std::size_t Auc::FirstUnambiguous(const double* masked_rows, std::size_t batch,
-                                  std::size_t stride,
-                                  linalg::MutVecView scores_block) const {
+std::size_t Auc::FirstUnambiguous(const double* rows, std::size_t batch, std::size_t stride,
+                                  const std::size_t* columns, linalg::MutVecView scores) const {
   switch (mode_) {
     case Mode::kUntrained:
       throw std::logic_error("Auc::Unambiguous before Train");
@@ -172,30 +172,24 @@ std::size_t Auc::FirstUnambiguous(const double* masked_rows, std::size_t batch,
     case Mode::kNormal:
       break;
   }
-  const std::size_t sets = linear_.num_classes();
-  assert(scores_block.size() >= batch * sets);
-  if (complete_prefix_) {
-    // Per-row fused fire check (see UnambiguousView): early-out on the first
-    // complete winner without ever materializing a score block, so the batch
-    // costs one weight-block sweep per row and nothing else. scores_block
-    // stays untouched scratch.
-    const std::size_t dim = linear_.dimension();
-    for (std::size_t r = 0; r < batch; ++r) {
-      if (linear_.EvaluateWinnerInPrefix(linalg::VecView(masked_rows + r * stride, dim),
-                                         num_complete_)) {
-        return r;
-      }
-    }
-    return kNone;
+  const std::size_t dim = linear_.dimension();
+  if (dim > linalg::simd::kMaxColumns) {
+    throw std::invalid_argument("Auc::FirstUnambiguous: more features than a row gather holds");
   }
-  linear_.EvaluateBatchInto(masked_rows, batch, stride, scores_block.data(), sets);
+  if (complete_prefix_) {
+    // The batched fused fire check (see UnambiguousView): one kernel call
+    // reads the rows through the column list and stops at the first complete
+    // winner; `scores` stays untouched scratch.
+    const std::size_t r =
+        linear_.FirstWinnerInPrefix(rows, batch, stride, columns, num_complete_);
+    return r < batch ? r : kNone;
+  }
+  std::array<double, linalg::simd::kMaxColumns> masked{};
   for (std::size_t r = 0; r < batch; ++r) {
-    const double* scores = scores_block.data() + r * sets;
-    // Same argmax semantics as BestClassView: first index wins ties. The
-    // dispatched kernel keeps that contract across tiers, so which set wins
-    // (and therefore where the recognizer fires) is tier-independent.
-    const auto winner = static_cast<classify::ClassId>(linalg::simd::ArgMax(scores, sets));
-    if (sets_[winner].complete) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      masked[i] = rows[r * stride + columns[i]];
+    }
+    if (sets_[linear_.BestClassView(linalg::ViewOf(masked, dim), scores)].complete) {
       return r;
     }
   }

@@ -83,14 +83,14 @@ class Auc {
   // "No row fired" result for FirstUnambiguous.
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  // Batched D(s) over `batch` masked feature rows (`stride` doubles apart in
-  // `masked_rows`, each linear().dimension() wide): returns the index of the
-  // FIRST row judged unambiguous, or kNone. Row decisions are bit-identical
-  // to UnambiguousView on that row — the batch evaluator loops the same
-  // per-row kernel. `scores_block` is caller scratch of at least
-  // batch * num_sets() doubles (rows of num_sets() scores each).
-  std::size_t FirstUnambiguous(const double* masked_rows, std::size_t batch,
-                               std::size_t stride, linalg::MutVecView scores_block) const;
+  // Batched D(s) over `batch` feature rows read through a column list: row
+  // r's masked feature i is rows[r * stride + columns[i]] for
+  // i < linear().dimension(), so unprojected snapshots go in as they are.
+  // Returns the index of the FIRST row judged unambiguous, or kNone. Row
+  // decisions are bit-identical to UnambiguousView on that row's gathered
+  // features. `scores` is caller scratch sized num_sets().
+  std::size_t FirstUnambiguous(const double* rows, std::size_t batch, std::size_t stride,
+                               const std::size_t* columns, linalg::MutVecView scores) const;
 
   // The winning AUC set for diagnostics; meaningful only in kNormal mode.
   classify::Classification Classify(const linalg::Vector& masked_features) const;

@@ -42,6 +42,7 @@ EagerTrainReport EagerRecognizer::Train(const classify::GestureTrainingSet& trai
   // The full classifier is the load-bearing half; if it cannot be trained the
   // recognizer is unusable and the error propagates to the caller.
   report.full_classifier_ridge = full_.Train(training, options.mask, options.stats);
+  columns_ = full_.mask().Columns();
 
   // The AUC is an optimization: failure to train it must never take down the
   // session. Fall back to mouse-up two-phase recognition (D always answers
@@ -74,6 +75,7 @@ EagerRecognizer EagerRecognizer::FromParameters(classify::GestureClassifier full
   out.full_ = std::move(full);
   out.auc_ = std::move(auc);
   out.min_prefix_points_ = min_prefix_points;
+  out.columns_ = out.full_.mask().Columns();
   return out;
 }
 
@@ -94,14 +96,8 @@ std::size_t EagerRecognizer::FirstUnambiguous(const double* feature_rows, std::s
                                               std::size_t row_stride, Workspace& ws) const {
   assert(batch <= Workspace::kBatchPoints);
   ws.Prepare(num_classes(), auc_.num_sets());
-  const features::FeatureMask& mask = full_.mask();
-  const std::size_t masked_dim = mask.count();
-  for (std::size_t r = 0; r < batch; ++r) {
-    mask.ProjectInto(linalg::VecView(feature_rows + r * row_stride, features::kNumFeatures),
-                     ws.MaskedRowView(r, masked_dim));
-  }
-  return auc_.FirstUnambiguous(ws.masked_block.data(), batch, features::kNumFeatures,
-                               ws.BatchAucScoresView());
+  return auc_.FirstUnambiguous(feature_rows, batch, row_stride, columns_.data(),
+                               ws.AucScoresView());
 }
 
 classify::Classification EagerRecognizer::Classify(linalg::VecView full_features,

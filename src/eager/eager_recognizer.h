@@ -87,9 +87,9 @@ class EagerRecognizer {
 
   // Batched D over `batch` full-feature rows (`row_stride` doubles apart in
   // `feature_rows`, each kNumFeatures wide; batch <= Workspace::kBatchPoints):
-  // mask-projects every row, then runs the AUC's batched evaluator. Returns
-  // the index of the FIRST unambiguous row, or Auc::kNone. Row answers are
-  // bit-identical to Unambiguous on that row.
+  // the AUC reads every row through the mask's column list, so no row is
+  // projected. Returns the index of the FIRST unambiguous row, or
+  // Auc::kNone. Row answers are bit-identical to Unambiguous on that row.
   std::size_t FirstUnambiguous(const double* feature_rows, std::size_t batch,
                                std::size_t row_stride, Workspace& ws) const;
 
@@ -119,6 +119,9 @@ class EagerRecognizer {
   classify::GestureClassifier full_;
   Auc auc_;
   std::size_t min_prefix_points_ = features::FeatureExtractor::kMinPoints;
+  // full_.mask().Columns(), taken once when the recognizer is trained or
+  // loaded: the batched fire check reads snapshot rows through it.
+  std::array<std::size_t, features::kNumFeatures> columns_{};
 };
 
 // Everything a caller needs from the moment D fired inside a batched

@@ -41,19 +41,17 @@ struct Workspace {
   std::array<double, features::kNumFeatures> masked{};
   // Mahalanobis difference scratch (classifier dimension <= kNumFeatures).
   std::array<double, features::kNumFeatures> diff{};
-  // Batched-chunk blocks: row r (kNumFeatures doubles apart) is point r's
-  // feature snapshot / mask projection within the current chunk.
+  // Batched-chunk block: row r (kNumFeatures doubles apart) is point r's
+  // feature snapshot within the current chunk. The fire check reads it
+  // through the mask's column list, unprojected.
   alignas(64) std::array<double, kBatchPoints * features::kNumFeatures> feature_block{};
-  alignas(64) std::array<double, kBatchPoints * features::kNumFeatures> masked_block{};
   // Per-class score buffers: full classifier (C classes) and AUC (up to 2C
-  // sets), plus the batched AUC block (kBatchPoints rows of num_auc_sets).
-  // Sized by Prepare(); steady state never reallocates.
+  // sets). Sized by Prepare(); steady state never reallocates.
   std::vector<double> full_scores;
   std::vector<double> auc_scores;
-  std::vector<double> batch_auc_scores;
 
   // Ensures the score buffers match the recognizer shape. Cheap when already
-  // sized (three integer compares); allocates only on first use or when the
+  // sized (two integer compares); allocates only on first use or when the
   // shape changed.
   void Prepare(std::size_t num_full_classes, std::size_t num_auc_sets) {
     if (full_scores.size() != num_full_classes) {
@@ -61,9 +59,6 @@ struct Workspace {
     }
     if (auc_scores.size() != num_auc_sets) {
       auc_scores.resize(num_auc_sets);
-    }
-    if (batch_auc_scores.size() != kBatchPoints * num_auc_sets) {
-      batch_auc_scores.resize(kBatchPoints * num_auc_sets);
     }
   }
 
@@ -81,14 +76,6 @@ struct Workspace {
     assert(r < kBatchPoints);
     return linalg::MutVecView(feature_block.data() + r * features::kNumFeatures,
                               features::kNumFeatures);
-  }
-  // Mask-projection row r (leading n = mask.count() entries are live).
-  linalg::MutVecView MaskedRowView(std::size_t r, std::size_t n) {
-    assert(r < kBatchPoints && n <= features::kNumFeatures);
-    return linalg::MutVecView(masked_block.data() + r * features::kNumFeatures, n);
-  }
-  linalg::MutVecView BatchAucScoresView() {
-    return linalg::MutVecView(batch_auc_scores.data(), batch_auc_scores.size());
   }
 };
 

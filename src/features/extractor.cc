@@ -25,9 +25,15 @@ void FeatureExtractor::AddPoint(const geom::TimedPoint& p) {
   if (count_ == 2) {
     // This point is the third: it anchors the initial-angle features. Rubine
     // measures the initial direction at the third point because the second
-    // point of a stroke is dominated by sensor noise.
-    x2_ = p.x;
-    y2_ = p.y;
+    // point of a stroke is dominated by sensor noise. The angle never
+    // changes after this point, so it is computed here, not per snapshot.
+    const double dx = p.x - x0_;
+    const double dy = p.y - y0_;
+    const double d = std::sqrt(dx * dx + dy * dy);
+    if (d > 0.0) {
+      initial_cos_ = dx / d;
+      initial_sin_ = dy / d;
+    }
   }
 
   const double dx = p.x - last_x_;
@@ -94,15 +100,8 @@ void FeatureExtractor::FeaturesInto(linalg::MutVecView f) const {
   }
 
   // f1, f2: initial angle at the third point.
-  if (count_ >= kMinPoints) {
-    const double dx = x2_ - x0_;
-    const double dy = y2_ - y0_;
-    const double d = std::sqrt(dx * dx + dy * dy);
-    if (d > 0.0) {
-      f[kInitialCos] = dx / d;
-      f[kInitialSin] = dy / d;
-    }
-  }
+  f[kInitialCos] = initial_cos_;
+  f[kInitialSin] = initial_sin_;
 
   // f3, f4: bounding-box diagonal.
   const double bw = max_x_ - min_x_;

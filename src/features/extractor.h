@@ -61,7 +61,9 @@ class FeatureExtractor {
 
   // Anchors.
   double x0_ = 0.0, y0_ = 0.0, t0_ = 0.0;   // first point
-  double x2_ = 0.0, y2_ = 0.0;              // third point (defines f1/f2)
+  // f1/f2, fixed once the third point arrives (0 until then, and for a
+  // third point coincident with the first).
+  double initial_cos_ = 0.0, initial_sin_ = 0.0;
   double last_x_ = 0.0, last_y_ = 0.0, last_t_ = 0.0;
 
   // Bounding box.

@@ -104,4 +104,15 @@ void FeatureMask::ProjectInto(linalg::VecView full, linalg::MutVecView out) cons
   }
 }
 
+std::array<std::size_t, kNumFeatures> FeatureMask::Columns() const {
+  std::array<std::size_t, kNumFeatures> columns{};
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < kNumFeatures; ++i) {
+    if (enabled_[i]) {
+      columns[j++] = i;
+    }
+  }
+  return columns;
+}
+
 }  // namespace grandma::features

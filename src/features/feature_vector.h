@@ -68,6 +68,11 @@ class FeatureMask {
   // size mismatch, exactly like Project.
   void ProjectInto(linalg::VecView full, linalg::MutVecView out) const;
 
+  // The enabled features' indices in index order (the leading count()
+  // entries are live): Project writes full[Columns()[j]] to out[j]. Kernels
+  // that read unprojected rows through this list never project at all.
+  std::array<std::size_t, kNumFeatures> Columns() const;
+
   friend bool operator==(const FeatureMask&, const FeatureMask&) = default;
 
  private:

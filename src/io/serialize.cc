@@ -317,7 +317,10 @@ std::optional<eager::EagerRecognizer> ReadEagerBody(std::istream& in) {
       sets.push_back(eager::Auc::SetInfo{kind == "C", full_class});
     }
     auto linear = ReadLinear(in);
-    if (!linear || linear->num_classes() != sets.size()) {
+    // The AUC reads masked features: a dimension other than the mask's
+    // count would index past the feature rows it is given.
+    if (!linear || linear->num_classes() != sets.size() ||
+        linear->dimension() != full->mask().count()) {
       return std::nullopt;
     }
     auc = eager::Auc::FromParameters(eager::Auc::Mode::kNormal, std::move(*linear),

@@ -42,6 +42,10 @@ struct KernelTable {
   bool (*argmax_in_prefix)(const double* soa, std::size_t stride, const double* biases,
                            const double* f, std::size_t dim, std::size_t split,
                            std::size_t classes);
+  std::size_t (*first_in_prefix)(const double* soa, std::size_t stride, const double* biases,
+                                 const double* rows, std::size_t batch, std::size_t row_stride,
+                                 const std::size_t* columns, std::size_t dim, std::size_t split,
+                                 std::size_t classes);
 };
 
 // --- Scalar tier (the reference) ---------------------------------------
@@ -160,9 +164,41 @@ bool EvaluateArgMaxInPrefixScalar(const double* soa, std::size_t stride, const d
   return winner < split;
 }
 
-constexpr KernelTable kScalarTable{
-    Tier::kScalar,     DotScalar,          AxpyScalar,  SquaredNormScalar,
-    EvaluateAllScalar, EvaluateAll2Scalar, ArgMaxScalar, EvaluateArgMaxInPrefixScalar};
+using InPrefixKernel = bool (*)(const double* soa, std::size_t stride, const double* biases,
+                                const double* f, std::size_t dim, std::size_t split,
+                                std::size_t classes);
+
+// The per-row batched fire check: gathers each row through the column list
+// and runs a tier's per-row fused kernel on it, stopping at the first row
+// that fires. The scalar and 2-wide tiers use nothing else; the AVX2 tier
+// uses it where rows in lanes does not pay.
+template <InPrefixKernel kInPrefix>
+std::size_t FirstInPrefixPerRow(const double* soa, std::size_t stride, const double* biases,
+                                const double* rows, std::size_t batch, std::size_t row_stride,
+                                const std::size_t* columns, std::size_t dim, std::size_t split,
+                                std::size_t classes) {
+  double f[kMaxColumns];
+  for (std::size_t r = 0; r < batch; ++r) {
+    const double* row = rows + r * row_stride;
+    for (std::size_t i = 0; i < dim; ++i) {
+      f[i] = row[columns[i]];
+    }
+    if (kInPrefix(soa, stride, biases, f, dim, split, classes)) {
+      return r;
+    }
+  }
+  return batch;
+}
+
+constexpr KernelTable kScalarTable{Tier::kScalar,
+                                   DotScalar,
+                                   AxpyScalar,
+                                   SquaredNormScalar,
+                                   EvaluateAllScalar,
+                                   EvaluateAll2Scalar,
+                                   ArgMaxScalar,
+                                   EvaluateArgMaxInPrefixScalar,
+                                   FirstInPrefixPerRow<EvaluateArgMaxInPrefixScalar>};
 
 #if defined(GRANDMA_SIMD_X86)
 
@@ -479,9 +515,15 @@ bool EvaluateArgMaxInPrefixSse2(const double* soa, std::size_t stride, const dou
   return EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes);
 }
 
-constexpr KernelTable kSse2Table{
-    Tier::kSse2,     DotSse2,          AxpySse2,   SquaredNormSse2,
-    EvaluateAllSse2, EvaluateAll2Sse2, ArgMaxSse2, EvaluateArgMaxInPrefixSse2};
+constexpr KernelTable kSse2Table{Tier::kSse2,
+                                 DotSse2,
+                                 AxpySse2,
+                                 SquaredNormSse2,
+                                 EvaluateAllSse2,
+                                 EvaluateAll2Sse2,
+                                 ArgMaxSse2,
+                                 EvaluateArgMaxInPrefixSse2,
+                                 FirstInPrefixPerRow<EvaluateArgMaxInPrefixSse2>};
 
 // --- AVX2 tier (runtime-detected) --------------------------------------
 
@@ -805,9 +847,209 @@ __attribute__((target("avx2"))) bool EvaluateArgMaxInPrefixAvx2(const double* so
   return EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes);
 }
 
-constexpr KernelTable kAvx2Table{
-    Tier::kAvx2,     DotAvx2,          AxpyAvx2,   SquaredNormAvx2,
-    EvaluateAllAvx2, EvaluateAll2Avx2, ArgMaxAvx2, EvaluateArgMaxInPrefixAvx2};
+// The batched fire check only needs the first-max winner's side of the
+// split. Scanning classes in order, the winner leaves the prefix exactly when
+// some suffix score is > the prefix maximum (a NaN score compares false and
+// never displaces the winner). So once the prefix is NaN-free and its
+// maximum known, the suffix can stop at the first score above it: a row
+// that does not fire, the common case before a gesture becomes unambiguous,
+// usually costs the prefix plus part of the suffix. A NaN in the prefix
+// defers to the scalar scan.
+
+// Per-row sweep with that early exit: the per-row kernel's prefix maximum,
+// then the suffix in the same 16-, 4- and 1-class blocks, stopping at the
+// first block holding a score above it.
+__attribute__((target("avx2"))) bool InPrefixEarlyExitAvx2(const double* soa, std::size_t stride,
+                                                           const double* biases, const double* f,
+                                                           std::size_t dim, std::size_t split,
+                                                           std::size_t classes) {
+  bool nan_seen = false;
+  const double prefix_max = MaxScoresRangeAvx2(soa, stride, biases, f, dim, 0, split, &nan_seen);
+  if (nan_seen) {
+    return EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes);
+  }
+  const __m256d pmax = _mm256_set1_pd(prefix_max);
+  std::size_t c = split;
+  for (; c + 16 <= classes; c += 16) {
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd();
+    const double* col = soa + c;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const __m256d ff = _mm256_set1_pd(f[i]);
+      const double* row = col + i * stride;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(ff, _mm256_loadu_pd(row)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(ff, _mm256_loadu_pd(row + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(ff, _mm256_loadu_pd(row + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(ff, _mm256_loadu_pd(row + 12)));
+    }
+    a0 = _mm256_add_pd(a0, _mm256_loadu_pd(biases + c));
+    a1 = _mm256_add_pd(a1, _mm256_loadu_pd(biases + c + 4));
+    a2 = _mm256_add_pd(a2, _mm256_loadu_pd(biases + c + 8));
+    a3 = _mm256_add_pd(a3, _mm256_loadu_pd(biases + c + 12));
+    const __m256d above =
+        _mm256_or_pd(_mm256_or_pd(_mm256_cmp_pd(a0, pmax, _CMP_GT_OQ),
+                                  _mm256_cmp_pd(a1, pmax, _CMP_GT_OQ)),
+                     _mm256_or_pd(_mm256_cmp_pd(a2, pmax, _CMP_GT_OQ),
+                                  _mm256_cmp_pd(a3, pmax, _CMP_GT_OQ)));
+    if (_mm256_movemask_pd(above) != 0) {
+      return false;
+    }
+  }
+  for (; c + 4 <= classes; c += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    const double* col = soa + c;
+    for (std::size_t i = 0; i < dim; ++i) {
+      acc = _mm256_add_pd(acc,
+                          _mm256_mul_pd(_mm256_set1_pd(f[i]), _mm256_loadu_pd(col + i * stride)));
+    }
+    acc = _mm256_add_pd(acc, _mm256_loadu_pd(biases + c));
+    if (_mm256_movemask_pd(_mm256_cmp_pd(acc, pmax, _CMP_GT_OQ)) != 0) {
+      return false;
+    }
+  }
+  for (; c < classes; ++c) {
+    if (ScoreAtScalar(soa, stride, biases, f, dim, c) > prefix_max) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Scores of classes c0..c0+3 for four rows at once, one row per lane: `ft`
+// holds the rows transposed (ft[4 * i + k] is feature i of lane k). Each
+// (lane, class) chain is EvaluateAll's chain exactly: zero, += f[i] * w[i][c]
+// in feature order, + bias; mul is commutative, and -ffp-contract=off keeps
+// mul and add apart. Classes past `last` repeat class `last`, which cannot
+// change a maximum or an "any score above" test.
+__attribute__((target("avx2"), always_inline)) inline void ScoreGroupLanesAvx2(
+    const double* soa, std::size_t stride, const double* biases, const double* ft,
+    std::size_t dim, std::size_t c0, std::size_t last, __m256d& a0, __m256d& a1, __m256d& a2,
+    __m256d& a3) {
+  const std::size_t c1 = c0 + 1 < last ? c0 + 1 : last;
+  const std::size_t c2 = c0 + 2 < last ? c0 + 2 : last;
+  const std::size_t c3 = c0 + 3 < last ? c0 + 3 : last;
+  a0 = _mm256_setzero_pd();
+  a1 = _mm256_setzero_pd();
+  a2 = _mm256_setzero_pd();
+  a3 = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < dim; ++i) {
+    const __m256d x = _mm256_load_pd(ft + 4 * i);
+    const double* w = soa + i * stride;
+    a0 = _mm256_add_pd(a0, _mm256_mul_pd(x, _mm256_set1_pd(w[c0])));
+    a1 = _mm256_add_pd(a1, _mm256_mul_pd(x, _mm256_set1_pd(w[c1])));
+    a2 = _mm256_add_pd(a2, _mm256_mul_pd(x, _mm256_set1_pd(w[c2])));
+    a3 = _mm256_add_pd(a3, _mm256_mul_pd(x, _mm256_set1_pd(w[c3])));
+  }
+  a0 = _mm256_add_pd(a0, _mm256_set1_pd(biases[c0]));
+  a1 = _mm256_add_pd(a1, _mm256_set1_pd(biases[c1]));
+  a2 = _mm256_add_pd(a2, _mm256_set1_pd(biases[c2]));
+  a3 = _mm256_add_pd(a3, _mm256_set1_pd(biases[c3]));
+}
+
+// When the AVX2 tier scores rows in lanes. Measured pinned to one core of
+// a 4-vCPU x86 VM (gcc 12, RelWithDebInfo), minimum of 3-4 runs over the
+// pre-fire snapshot rows of held-out strokes, rows in lanes vs the per-row
+// sweep, both with the early exit:
+//
+// Set count, 16-row chunks. 19 sets (GDP): 26 vs 61 ns per row, AddSpan 92
+// vs 119 ns per point. 85 sets: 82 vs 95 ns per row. 132 sets: 119 vs 122
+// ns per row but AddSpan 185 vs 180. 279 sets (200-class lexicon): 178 vs
+// 175 ns per row, AddSpan 265 vs 236. Past about 128 sets a quad's weight
+// reuse no longer pays for scoring four rows when the first may fire.
+constexpr std::size_t kRowsInLanesMaxSets = 128;
+// Rows left in the chunk, 19 sets. One row as a quad wastes three lanes:
+// 103 vs 76 ns per row with 1-point spans, so a single row takes the
+// per-row sweep. Two rows as a quad beat two sweeps: 53 vs 71 ns per row
+// with 2-point spans.
+constexpr std::size_t kRowsInLanesMinRows = 2;
+
+// Rows in lanes: lane k of every vector is row r + k, so one pass over the
+// weight block scores four rows, and the prefix maximum and the "suffix
+// beat it" flags stay per lane (no padded class lanes, no blends, no
+// horizontal reductions). The suffix stops once every live lane is beaten.
+// A lane with a NaN in its prefix redoes that row alone with the scalar
+// scan. Lanes are checked in row order, so the first firing row wins.
+__attribute__((target("avx2"))) std::size_t FirstArgMaxInPrefixAvx2(
+    const double* soa, std::size_t stride, const double* biases, const double* rows,
+    std::size_t batch, std::size_t row_stride, const std::size_t* columns, std::size_t dim,
+    std::size_t split, std::size_t classes) {
+  std::size_t r = 0;
+  if (classes <= kRowsInLanesMaxSets) {
+    alignas(32) double ft[4 * kMaxColumns];
+    for (; r + kRowsInLanesMinRows <= batch; r += 4) {
+      const std::size_t lanes = batch - r < 4 ? batch - r : 4;
+      // A short quad repeats its last row in the spare lanes, so every lane
+      // holds real features; those lanes are ignored below.
+      const double* r0 = rows + r * row_stride;
+      const double* r1 = lanes > 1 ? r0 + row_stride : r0;
+      const double* r2 = lanes > 2 ? r1 + row_stride : r1;
+      const double* r3 = lanes > 3 ? r2 + row_stride : r2;
+      for (std::size_t i = 0; i < dim; ++i) {
+        const std::size_t col = columns[i];
+        _mm256_store_pd(ft + 4 * i, _mm256_set_pd(r3[col], r2[col], r1[col], r0[col]));
+      }
+      __m256d a0;
+      __m256d a1;
+      __m256d a2;
+      __m256d a3;
+      __m256d prefix_max = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+      __m256d unord = _mm256_setzero_pd();
+      for (std::size_t c0 = 0; c0 < split; c0 += 4) {
+        ScoreGroupLanesAvx2(soa, stride, biases, ft, dim, c0, split - 1, a0, a1, a2, a3);
+        // unord(x, y) is true when either is NaN.
+        unord = _mm256_or_pd(unord, _mm256_or_pd(_mm256_cmp_pd(a0, a1, _CMP_UNORD_Q),
+                                                 _mm256_cmp_pd(a2, a3, _CMP_UNORD_Q)));
+        prefix_max = _mm256_max_pd(prefix_max,
+                                   _mm256_max_pd(_mm256_max_pd(a0, a1), _mm256_max_pd(a2, a3)));
+      }
+      const int nans = _mm256_movemask_pd(unord);
+      const int live = ((1 << lanes) - 1) & ~nans;
+      int beaten = 0;
+      for (std::size_t c0 = split; c0 < classes && (beaten & live) != live; c0 += 4) {
+        ScoreGroupLanesAvx2(soa, stride, biases, ft, dim, c0, classes - 1, a0, a1, a2, a3);
+        const __m256d above = _mm256_or_pd(
+            _mm256_or_pd(_mm256_cmp_pd(a0, prefix_max, _CMP_GT_OQ),
+                         _mm256_cmp_pd(a1, prefix_max, _CMP_GT_OQ)),
+            _mm256_or_pd(_mm256_cmp_pd(a2, prefix_max, _CMP_GT_OQ),
+                         _mm256_cmp_pd(a3, prefix_max, _CMP_GT_OQ)));
+        beaten |= _mm256_movemask_pd(above);
+      }
+      for (std::size_t k = 0; k < lanes; ++k) {
+        if ((nans >> k & 1) != 0) {
+          double f[kMaxColumns];
+          for (std::size_t i = 0; i < dim; ++i) {
+            f[i] = ft[4 * i + k];
+          }
+          if (EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes)) {
+            return r + k;
+          }
+        } else if ((beaten >> k & 1) == 0) {
+          return r + k;
+        }
+      }
+    }
+    if (r >= batch) {
+      return batch;
+    }
+  }
+  const std::size_t first =
+      FirstInPrefixPerRow<InPrefixEarlyExitAvx2>(soa, stride, biases, rows + r * row_stride,
+                                                 batch - r, row_stride, columns, dim, split,
+                                                 classes);
+  return r + first;
+}
+
+constexpr KernelTable kAvx2Table{Tier::kAvx2,
+                                 DotAvx2,
+                                 AxpyAvx2,
+                                 SquaredNormAvx2,
+                                 EvaluateAllAvx2,
+                                 EvaluateAll2Avx2,
+                                 ArgMaxAvx2,
+                                 EvaluateArgMaxInPrefixAvx2,
+                                 FirstArgMaxInPrefixAvx2};
 
 #elif defined(GRANDMA_SIMD_NEON)
 
@@ -1103,9 +1345,15 @@ bool EvaluateArgMaxInPrefixNeon(const double* soa, std::size_t stride, const dou
   return EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes);
 }
 
-constexpr KernelTable kSse2Table{
-    Tier::kSse2,     DotNeon,          AxpyNeon,   SquaredNormNeon,
-    EvaluateAllNeon, EvaluateAll2Neon, ArgMaxNeon, EvaluateArgMaxInPrefixNeon};
+constexpr KernelTable kSse2Table{Tier::kSse2,
+                                 DotNeon,
+                                 AxpyNeon,
+                                 SquaredNormNeon,
+                                 EvaluateAllNeon,
+                                 EvaluateAll2Neon,
+                                 ArgMaxNeon,
+                                 EvaluateArgMaxInPrefixNeon,
+                                 FirstInPrefixPerRow<EvaluateArgMaxInPrefixNeon>};
 
 #endif  // GRANDMA_SIMD_X86 / GRANDMA_SIMD_NEON
 
@@ -1309,6 +1557,24 @@ bool EvaluateArgMaxInPrefix(const double* soa, std::size_t stride, const double*
                             std::size_t classes) {
   assert(stride >= classes);
   return Active().argmax_in_prefix(soa, stride, biases, f, dim, split, classes);
+}
+
+std::size_t FirstArgMaxInPrefix(const double* soa, std::size_t stride, const double* biases,
+                                const double* rows, std::size_t batch, std::size_t row_stride,
+                                const std::size_t* columns, std::size_t dim, std::size_t split,
+                                std::size_t classes) {
+  assert(stride >= classes);
+  assert(dim <= kMaxColumns);
+  // The same early answers as the per-row kernel, for the whole batch: the
+  // tier bodies may assume a non-empty prefix and a non-empty suffix.
+  if (split == 0) {
+    return batch;
+  }
+  if (split >= classes) {
+    return 0;
+  }
+  return Active().first_in_prefix(soa, stride, biases, rows, batch, row_stride, columns, dim,
+                                  split, classes);
 }
 
 // --- AlignedBuffer ------------------------------------------------------

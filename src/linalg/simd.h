@@ -138,6 +138,23 @@ bool EvaluateArgMaxInPrefix(const double* soa, std::size_t stride, const double*
                             const double* f, std::size_t dim, std::size_t split,
                             std::size_t classes);
 
+// Widest feature row FirstArgMaxInPrefix reads through a column list.
+inline constexpr std::size_t kMaxColumns = 32;
+
+// The batched fire check: the index of the FIRST of `batch` rows whose
+// EvaluateArgMaxInPrefix answer is true, or `batch` when none is. Row r's
+// feature i is rows[r * row_stride + columns[i]] for i < dim (dim <=
+// kMaxColumns), so a caller holding unprojected snapshots passes its mask's
+// column-index list instead of projecting every row. Each row's answer is
+// bit-identical to EvaluateArgMaxInPrefix on that row's gathered features,
+// on every tier. The AVX2 tier stops a row's suffix sweep at the first
+// score above the prefix maximum, and evaluates up to four rows at once,
+// one row per vector lane (see simd.cc for when it does).
+std::size_t FirstArgMaxInPrefix(const double* soa, std::size_t stride, const double* biases,
+                                const double* rows, std::size_t batch, std::size_t row_stride,
+                                const std::size_t* columns, std::size_t dim, std::size_t split,
+                                std::size_t classes);
+
 // --- Aligned allocation -------------------------------------------------
 
 // Cache-line alignment for the flat kernel blocks: covers 32-byte AVX2

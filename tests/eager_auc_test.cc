@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "classify/gesture_classifier.h"
 #include "eager/accidental_mover.h"
+#include "linalg/simd.h"
 #include "synth/generator.h"
 #include "synth/sets.h"
 
@@ -179,6 +182,56 @@ TEST(AucTest, FromParametersNonPrefixLayoutAgreesWithPrefixLayout) {
   // and both first sets are complete.
   EXPECT_TRUE(interleaved.Unambiguous(linalg::Vector{0.0, 0.0}));
   EXPECT_TRUE(prefix.Unambiguous(linalg::Vector{0.0, 0.0}));
+
+  // The batched check over the same probes, stored as unprojected rows
+  // {f[1], padding, f[0]} and read through the column list {2, 0}: from
+  // every starting probe, both layouts return the first row Unambiguous
+  // accepts.
+  constexpr std::size_t kStride = 3;
+  const std::size_t columns[] = {2, 0};
+  std::vector<double> rows;
+  for (const linalg::Vector& f : probes) {
+    rows.insert(rows.end(), {f[1], 99.0, f[0]});
+  }
+  std::vector<double> scores(4);
+  for (std::size_t begin = 0; begin < probes.size(); ++begin) {
+    std::size_t expect = Auc::kNone;
+    for (std::size_t r = begin; r < probes.size() && expect == Auc::kNone; ++r) {
+      if (prefix.Unambiguous(probes[r])) {
+        expect = r - begin;
+      }
+    }
+    for (const Auc* auc : {&interleaved, &prefix}) {
+      EXPECT_EQ(auc->FirstUnambiguous(rows.data() + begin * kStride, probes.size() - begin,
+                                      kStride, columns,
+                                      linalg::MutVecView(scores.data(), scores.size())),
+                expect)
+          << "begin=" << begin;
+    }
+  }
+}
+
+// The batched check gathers each row into a fixed buffer of
+// linalg::simd::kMaxColumns features; a wider AUC is refused, not overrun.
+TEST(AucTest, BatchedCheckRefusesMoreFeaturesThanAGatherHolds) {
+  const std::size_t dim = linalg::simd::kMaxColumns + 1;
+  linalg::Vector w(dim);
+  w[0] = 1.0;
+  const Auc auc = Auc::FromParameters(
+      Auc::Mode::kNormal,
+      classify::LinearClassifier::FromParameters({w, w}, {0.0, 0.0},
+                                                 {linalg::Vector(dim), linalg::Vector(dim)},
+                                                 linalg::Matrix::Identity(dim)),
+      {Auc::SetInfo{true, 0}, Auc::SetInfo{false, 0}});
+  std::vector<std::size_t> columns(dim);
+  std::vector<double> row(dim, 1.0);
+  for (std::size_t i = 0; i < dim; ++i) {
+    columns[i] = i;
+  }
+  std::vector<double> scores(2);
+  EXPECT_THROW(auc.FirstUnambiguous(row.data(), 1, dim, columns.data(),
+                                    linalg::MutVecView(scores.data(), scores.size())),
+               std::invalid_argument);
 }
 
 }  // namespace

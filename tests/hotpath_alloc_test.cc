@@ -40,6 +40,40 @@ const eager::EagerRecognizer& GdpRecognizer() {
   return *recognizer;
 }
 
+// The same GDP set trained on FeatureMask::GeometryOnly() (11 of 13
+// features): the batched fire check then reads snapshot rows through a
+// column list with a gap at the end.
+const eager::EagerRecognizer& GeometryOnlyGdpRecognizer() {
+  static const eager::EagerRecognizer* recognizer = [] {
+    auto* r = new eager::EagerRecognizer;
+    synth::NoiseModel noise;
+    eager::EagerTrainOptions options;
+    options.mask = features::FeatureMask::GeometryOnly();
+    r->Train(synth::ToTrainingSet(synth::GenerateSet(synth::MakeGdpSpecs(), noise, 10, 1991)),
+             options);
+    return r;
+  }();
+  return *recognizer;
+}
+
+// Span lengths the AddSpan tests feed: 1-point events, every quad tail of
+// the rows-in-lanes fire check, odd lengths straddling the 16-row chunk,
+// and 0 for "the whole stroke at once".
+constexpr std::array<std::size_t, 8> kSpanChunks = {0, 1, 2, 3, 4, 5, 7, 19};
+
+// Feeds `g` to `stream` in spans of `chunk` points (0: one span).
+template <typename OnSpan>
+void FeedInSpans(eager::EagerStream& stream, const geom::Gesture& g, std::size_t chunk,
+                 eager::FireEvent& fire, OnSpan on_span) {
+  const auto& pts = g.points();
+  const std::size_t step = chunk == 0 ? pts.size() : chunk;
+  for (std::size_t i = 0; i < pts.size(); i += step) {
+    const std::size_t len = std::min(step, pts.size() - i);
+    stream.AddSpan(std::span<const geom::TimedPoint>(pts.data() + i, len), &fire);
+    on_span();
+  }
+}
+
 // A pool of strokes covering several GDP classes.
 std::vector<geom::Gesture> StrokePool() {
   std::vector<geom::Gesture> pool;
@@ -313,33 +347,38 @@ TEST(HotpathAllocTest, TracedServeSessionSteadyStateIsAllocationFree) {
   EXPECT_FALSE(obs::CollectAll().empty());
 }
 
-// The batched ingest path (EagerStream::AddSpan + the SoA EvaluateBatchInto
+// The batched ingest path (EagerStream::AddSpan + the batched fire check
 // under it) must uphold the same contract: zero allocations per point in
-// steady state, including the fire-event classification.
+// steady state, including the fire-event classification, for every span
+// length and for a masked recognizer.
 TEST(HotpathAllocTest, AddSpanSteadyStateIsAllocationFree) {
-  const eager::EagerRecognizer& r = GdpRecognizer();
   const std::vector<geom::Gesture> pool = StrokePool();
-  eager::EagerStream stream(r);
-  eager::FireEvent fire;
+  for (const eager::EagerRecognizer* r : {&GdpRecognizer(), &GeometryOnlyGdpRecognizer()}) {
+    eager::EagerStream stream(*r);
+    eager::FireEvent fire;
 
-  // Warm-up: sizes the workspace score buffers (incl. the batch block).
-  stream.AddSpan(std::span<const geom::TimedPoint>(pool[0].points()), &fire);
-  (void)stream.ClassifyNow();
-  stream.Reset();
+    // Warm-up: sizes the workspace score buffers.
+    stream.AddSpan(std::span<const geom::TimedPoint>(pool[0].points()), &fire);
+    (void)stream.ClassifyNow();
+    stream.Reset();
 
-  std::size_t points = 0;
-  const std::uint64_t allocs = CountAllocations([&] {
-    while (points < 1000) {
-      for (const geom::Gesture& g : pool) {
-        stream.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);
-        (void)stream.ClassifyNow();
-        stream.Reset();
-        points += g.size();
-      }
+    for (std::size_t chunk : kSpanChunks) {
+      std::size_t points = 0;
+      const std::uint64_t allocs = CountAllocations([&] {
+        while (points < 1000) {
+          for (const geom::Gesture& g : pool) {
+            FeedInSpans(stream, g, chunk, fire, [] {});
+            (void)stream.ClassifyNow();
+            stream.Reset();
+            points += g.size();
+          }
+        }
+      });
+      EXPECT_EQ(allocs, 0u) << "after " << points << " batched points, chunk=" << chunk
+                            << " dim=" << r->auc().linear().dimension();
+      EXPECT_GE(points, 1000u);
     }
-  });
-  EXPECT_EQ(allocs, 0u) << "after " << points << " batched points";
-  EXPECT_GE(points, 1000u);
+  }
 }
 
 // The classifier's batched evaluator on its own: after training, scoring all
@@ -362,52 +401,56 @@ TEST(HotpathAllocTest, EvaluateAllIntoIsAllocationFreePerPoint) {
 
 // AddSpan must be observably indistinguishable from per-point AddPoint:
 // same fire point, identical fire-time Classification doubles (==, not
-// almost-equal), identical final classification — for whole-stroke spans and
-// for odd chunkings that straddle the internal batch boundary.
+// almost-equal), identical final classification — for whole-stroke spans, for
+// every quad tail of the fire check, and for odd chunkings that straddle the
+// internal batch boundary, on the full-feature and the GeometryOnly model.
 TEST(HotpathAllocTest, AddSpanIsBitIdenticalToAddPointPath) {
-  const eager::EagerRecognizer& r = GdpRecognizer();
-  for (const geom::Gesture& g : StrokePool()) {
-    // Per-point reference, capturing the fire-time classification the way
-    // serve's per-point path did (ClassifyNow at the firing point).
-    eager::EagerStream reference(r);
-    bool ref_fired = false;
-    classify::Classification ref_at_fire{};
-    for (const geom::TimedPoint& p : g) {
-      if (reference.AddPoint(p)) {
-        ref_fired = true;
-        ref_at_fire = reference.ClassifyNow();
-      }
-    }
-    const classify::Classification ref_final = reference.ClassifyNow();
-
-    for (std::size_t chunk : {g.size(), std::size_t{1}, std::size_t{7}, std::size_t{19}}) {
-      eager::EagerStream stream(r);
-      eager::FireEvent fire;
-      bool span_fired = false;
-      classify::Classification span_at_fire{};
-      const auto& pts = g.points();
-      for (std::size_t i = 0; i < pts.size(); i += chunk) {
-        const std::size_t len = std::min(chunk, pts.size() - i);
-        stream.AddSpan(std::span<const geom::TimedPoint>(pts.data() + i, len), &fire);
-        if (fire.fired) {
-          span_fired = true;
-          span_at_fire = fire.classification;
+  for (const eager::EagerRecognizer* r : {&GdpRecognizer(), &GeometryOnlyGdpRecognizer()}) {
+    std::size_t fired_strokes = 0;
+    for (const geom::Gesture& g : StrokePool()) {
+      // Per-point reference, capturing the fire-time classification the way
+      // serve's per-point path did (ClassifyNow at the firing point).
+      eager::EagerStream reference(*r);
+      bool ref_fired = false;
+      classify::Classification ref_at_fire{};
+      for (const geom::TimedPoint& p : g) {
+        if (reference.AddPoint(p)) {
+          ref_fired = true;
+          ref_at_fire = reference.ClassifyNow();
         }
       }
-      ASSERT_EQ(stream.fired(), reference.fired()) << "chunk=" << chunk;
-      EXPECT_EQ(stream.fired_at(), reference.fired_at()) << "chunk=" << chunk;
-      ASSERT_EQ(span_fired, ref_fired) << "chunk=" << chunk;
-      if (span_fired) {
-        EXPECT_EQ(span_at_fire.class_id, ref_at_fire.class_id) << "chunk=" << chunk;
-        EXPECT_EQ(span_at_fire.score, ref_at_fire.score) << "chunk=" << chunk;
-        EXPECT_EQ(span_at_fire.probability, ref_at_fire.probability) << "chunk=" << chunk;
-        EXPECT_EQ(span_at_fire.mahalanobis_squared, ref_at_fire.mahalanobis_squared)
-            << "chunk=" << chunk;
+      const classify::Classification ref_final = reference.ClassifyNow();
+      fired_strokes += ref_fired ? 1 : 0;
+
+      for (std::size_t chunk : kSpanChunks) {
+        const std::size_t dim = r->auc().linear().dimension();
+        eager::EagerStream stream(*r);
+        eager::FireEvent fire;
+        bool span_fired = false;
+        classify::Classification span_at_fire{};
+        FeedInSpans(stream, g, chunk, fire, [&] {
+          if (fire.fired) {
+            span_fired = true;
+            span_at_fire = fire.classification;
+          }
+        });
+        ASSERT_EQ(stream.fired(), reference.fired()) << "chunk=" << chunk << " dim=" << dim;
+        EXPECT_EQ(stream.fired_at(), reference.fired_at()) << "chunk=" << chunk << " dim=" << dim;
+        ASSERT_EQ(span_fired, ref_fired) << "chunk=" << chunk << " dim=" << dim;
+        if (span_fired) {
+          EXPECT_EQ(span_at_fire.class_id, ref_at_fire.class_id) << "chunk=" << chunk;
+          EXPECT_EQ(span_at_fire.score, ref_at_fire.score) << "chunk=" << chunk;
+          EXPECT_EQ(span_at_fire.probability, ref_at_fire.probability) << "chunk=" << chunk;
+          EXPECT_EQ(span_at_fire.mahalanobis_squared, ref_at_fire.mahalanobis_squared)
+              << "chunk=" << chunk;
+        }
+        const classify::Classification final = stream.ClassifyNow();
+        EXPECT_EQ(final.class_id, ref_final.class_id) << "chunk=" << chunk << " dim=" << dim;
+        EXPECT_EQ(final.score, ref_final.score) << "chunk=" << chunk << " dim=" << dim;
       }
-      const classify::Classification final = stream.ClassifyNow();
-      EXPECT_EQ(final.class_id, ref_final.class_id) << "chunk=" << chunk;
-      EXPECT_EQ(final.score, ref_final.score) << "chunk=" << chunk;
     }
+    // The fire path itself must be exercised, not only "never fired".
+    EXPECT_GT(fired_strokes, 0u) << "dim=" << r->auc().linear().dimension();
   }
 }
 

@@ -127,6 +127,35 @@ TEST(EagerIoTest, RejectsGarbageAucMode) {
   EXPECT_FALSE(LoadEagerRecognizer(bad).has_value());
 }
 
+// A file whose AUC section was trained on all 13 features but whose full
+// classifier masks two of them out: the AUC would read past the masked
+// feature rows, so the load must fail.
+TEST(EagerIoTest, RejectsAucDimensionOtherThanTheMaskCount) {
+  const classify::GestureTrainingSet training = MakeTrainingSet();
+  eager::EagerRecognizer all;
+  all.Train(training);
+  eager::EagerTrainOptions options;
+  options.mask = features::FeatureMask::GeometryOnly();
+  eager::EagerRecognizer geometry;
+  geometry.Train(training, options);
+
+  std::stringstream all_text;
+  std::stringstream geometry_text;
+  ASSERT_TRUE(SaveEagerRecognizer(all, all_text));
+  ASSERT_TRUE(SaveEagerRecognizer(geometry, geometry_text));
+  const std::string a = all_text.str();
+  const std::string g = geometry_text.str();
+  const auto a_auc = a.find("auc_mode normal");
+  const auto g_auc = g.find("auc_mode normal");
+  ASSERT_NE(a_auc, std::string::npos);
+  ASSERT_NE(g_auc, std::string::npos);
+
+  std::stringstream spliced(g.substr(0, g_auc) + a.substr(a_auc));
+  EXPECT_FALSE(LoadEagerRecognizer(spliced).has_value());
+  std::stringstream intact(g);
+  EXPECT_TRUE(LoadEagerRecognizer(intact).has_value());
+}
+
 // Fuzz-style hardening tests: truncation at every prefix and seeded byte
 // mutations across all three formats must yield nullopt or a value — never a
 // crash, an uncaught exception, or a giant allocation.

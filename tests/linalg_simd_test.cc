@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -490,6 +491,296 @@ TEST(SimdKernelTest, EvaluateArgMaxInPrefixMatchesScalarArgMax) {
       EXPECT_FALSE(simd::EvaluateArgMaxInPrefix(soa.data(), stride, suffix_biases.data(),
                                                 f.data(), dim, split, classes))
           << TierName(t) << " classes=" << classes;
+    }
+  }
+}
+
+// --- FirstArgMaxInPrefix: the batched, column-list fire check ------------
+
+// A random SoA weight block plus biases for one set count.
+struct PrefixModel {
+  std::size_t dim = 0;
+  std::size_t classes = 0;
+  std::size_t stride = 0;
+  AlignedBuffer soa;
+  std::vector<double> biases;
+
+  PrefixModel(std::size_t dim_in, std::size_t classes_in, Rng& rng)
+      : dim(dim_in), classes(classes_in), stride((classes_in + 7) / 8 * 8),
+        soa(dim_in * stride) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      for (std::size_t c = 0; c < classes; ++c) {
+        soa[i * stride + c] = rng.Next();
+      }
+    }
+    biases = rng.Fill(classes);
+  }
+
+  // The per-row scalar reference, written out: EvaluateAll's chain for each
+  // class of the gathered row, then the strict-> first-max scan (first index
+  // wins ties, NaN never displaces the winner), then winner < split.
+  bool RowFires(const double* row, const std::vector<std::size_t>& columns,
+                std::size_t split) const {
+    std::size_t winner = 0;
+    double best = 0.0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < columns.size(); ++i) {
+        acc += row[columns[i]] * soa[i * stride + c];
+      }
+      acc += biases[c];
+      if (c == 0 || acc > best) {
+        best = acc;
+        winner = c;
+      }
+    }
+    return winner < split;
+  }
+
+  std::size_t Reference(const std::vector<double>& rows, std::size_t batch,
+                        const std::vector<std::size_t>& columns, std::size_t split) const {
+    for (std::size_t r = 0; r < batch; ++r) {
+      if (RowFires(rows.data() + r * kRowStride, columns, split)) {
+        return r;
+      }
+    }
+    return batch;
+  }
+
+  std::size_t Kernel(const std::vector<double>& rows, std::size_t batch,
+                     const std::vector<std::size_t>& columns, std::size_t split) const {
+    return FirstArgMaxInPrefix(soa.data(), stride, biases.data(), rows.data(), batch, kRowStride,
+                               columns.data(), columns.size(), split, classes);
+  }
+
+  // Unprojected snapshot rows: 13 features each, as EagerStream stores them.
+  static constexpr std::size_t kRowStride = 13;
+};
+
+// Set counts on both sides of the AVX2 tier's rows-in-lanes limit (128).
+const std::vector<std::size_t>& PrefixSetCounts() {
+  static const std::vector<std::size_t> counts = {1, 2, 3, 11, 19, 22, 32, 33, 40, 128, 129, 279};
+  return counts;
+}
+
+// Column lists over a 13-feature row: all of them, GeometryOnly's 11 (the
+// two time features dropped), and a single feature.
+std::vector<std::vector<std::size_t>> PrefixColumnLists() {
+  std::vector<std::size_t> all(13);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    all[i] = i;
+  }
+  const std::vector<std::size_t> geometry(all.begin(), all.begin() + 11);
+  return {all, geometry, {5}};
+}
+
+// Every batch size 1..16 (so every quad tail), every split position,
+// random rows: the first firing row equals the per-row scalar scan's.
+TEST(SimdKernelTest, FirstArgMaxInPrefixMatchesPerRowScan) {
+  TierGuard guard;
+  for (std::size_t classes : PrefixSetCounts()) {
+    for (const std::vector<std::size_t>& columns : PrefixColumnLists()) {
+      Rng rng(12000 + classes * 16 + columns.size());
+      const PrefixModel model(columns.size(), classes, rng);
+      const std::vector<double> rows = rng.Fill(16 * PrefixModel::kRowStride);
+      for (std::size_t split : {std::size_t{0}, std::size_t{1}, classes / 2, classes - 1, classes,
+                                classes + 3}) {
+        for (std::size_t batch = 0; batch <= 16; ++batch) {
+          const std::size_t expect = model.Reference(rows, batch, columns, split);
+          for (Tier t : SupportedTiers()) {
+            ASSERT_TRUE(ForceTier(t));
+            EXPECT_EQ(model.Kernel(rows, batch, columns, split), expect)
+                << TierName(t) << " classes=" << classes << " dim=" << columns.size()
+                << " split=" << split << " batch=" << batch;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The first firing row at every position of every batch size: rows before
+// it do not fire, the rows after it are random. Position == batch means no
+// row fires.
+TEST(SimdKernelTest, FirstArgMaxInPrefixFindsFiringRowAtEveryPosition) {
+  TierGuard guard;
+  constexpr std::size_t kStride = PrefixModel::kRowStride;
+  for (std::size_t classes : PrefixSetCounts()) {
+    if (classes < 2) {
+      continue;  // no split has both a firing and a non-firing row
+    }
+    for (const std::vector<std::size_t>& columns : PrefixColumnLists()) {
+      Rng rng(13000 + classes * 16 + columns.size());
+      const PrefixModel model(columns.size(), classes, rng);
+      // Draw rows until there is one that fires and four that do not. A
+      // one-feature model's winners can all sit on one side of a split, so
+      // the split moves on until both sides are reachable.
+      std::size_t split = classes / 2;
+      std::vector<double> firing;
+      std::vector<std::vector<double>> quiet;
+      for (std::size_t s = 0; s < classes && (firing.empty() || quiet.size() < 4); ++s) {
+        split = (classes / 2 + s) % classes;
+        firing.clear();
+        quiet.clear();
+        for (int draw = 0; draw < 4000 && (firing.empty() || quiet.size() < 4); ++draw) {
+          std::vector<double> row = rng.Fill(kStride);
+          for (double& x : row) {
+            x *= 1.0 + static_cast<double>(draw % 7);
+          }
+          if (model.RowFires(row.data(), columns, split)) {
+            firing = row;
+          } else if (quiet.size() < 4) {
+            quiet.push_back(row);
+          }
+        }
+      }
+      ASSERT_FALSE(firing.empty()) << "classes=" << classes << " dim=" << columns.size();
+      ASSERT_EQ(quiet.size(), 4u) << "classes=" << classes << " dim=" << columns.size();
+      const std::vector<double> tail = rng.Fill(16 * kStride);
+      for (std::size_t batch = 1; batch <= 16; ++batch) {
+        for (std::size_t pos = 0; pos <= batch; ++pos) {
+          std::vector<double> rows = tail;
+          for (std::size_t r = 0; r < pos; ++r) {
+            std::copy(quiet[r % 4].begin(), quiet[r % 4].end(), rows.begin() + r * kStride);
+          }
+          if (pos < batch) {
+            std::copy(firing.begin(), firing.end(), rows.begin() + pos * kStride);
+          }
+          for (Tier t : SupportedTiers()) {
+            ASSERT_TRUE(ForceTier(t));
+            EXPECT_EQ(model.Kernel(rows, batch, columns, split), pos)
+                << TierName(t) << " classes=" << classes << " dim=" << columns.size()
+                << " batch=" << batch;
+          }
+        }
+      }
+    }
+  }
+}
+
+// One NaN row among finite rows: the rows beside it (same quad included)
+// keep their own answers. On the poisoned feature every set weighs -1 except
+// the ones listed below; an infinite feature times a 0 weight is NaN.
+//   feature 4: set 1 -> 0, set split -> +1. +inf: NaN in set 1 (prefix),
+//     suffix wins, no fire. -inf: set 0 wins.
+//   feature 6: set 0 -> 0, set split -> +1. +inf: NaN in set 0, which the
+//     scalar scan never displaces: fires although the suffix holds the
+//     largest value (a lane max that drops NaNs would say otherwise).
+//   feature 8: set split+1 -> 0, set split+2 -> +1. +inf: NaN in the suffix
+//     only, and a larger suffix score after it: no fire.
+//   feature 10: set split+1 -> 0. +inf: NaN in the suffix only, every other
+//     score -inf: set 0 wins.
+TEST(SimdKernelTest, FirstArgMaxInPrefixNanRowFallsBackAlone) {
+  TierGuard guard;
+  constexpr std::size_t kStride = PrefixModel::kRowStride;
+  std::vector<std::size_t> columns(13);
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    columns[i] = i;
+  }
+  struct Poison {
+    std::size_t feature;
+    double value;
+    bool fires;
+  };
+  const Poison poisons[] = {
+      {4, kInf, false}, {4, -kInf, true}, {6, kInf, true},
+      {8, kInf, false}, {10, kInf, true},
+      {4, kNaN, true},  // every score NaN, set 0 wins
+  };
+  for (std::size_t classes :
+       {std::size_t{11}, std::size_t{19}, std::size_t{40}, std::size_t{140}}) {
+    Rng rng(14000 + classes);
+    PrefixModel model(columns.size(), classes, rng);
+    const std::size_t split = classes / 2;
+    for (std::size_t c = 0; c < classes; ++c) {
+      const double w = c == split ? 1.0 : -1.0;
+      model.soa[4 * model.stride + c] = c == 1 ? 0.0 : w;
+      model.soa[6 * model.stride + c] = c == 0 ? 0.0 : w;
+      model.soa[8 * model.stride + c] = c == split + 1 ? 0.0 : (c == split + 2 ? 1.0 : -1.0);
+      model.soa[10 * model.stride + c] = c == split + 1 ? 0.0 : -1.0;
+    }
+    std::vector<double> firing;
+    std::vector<double> quiet;
+    for (int draw = 0; draw < 4000 && (firing.empty() || quiet.empty()); ++draw) {
+      std::vector<double> row = rng.Fill(kStride);
+      (model.RowFires(row.data(), columns, split) ? firing : quiet) = row;
+    }
+    ASSERT_FALSE(firing.empty());
+    ASSERT_FALSE(quiet.empty());
+    for (const Poison& poison : poisons) {
+      std::vector<double> nan_row = quiet;
+      nan_row[poison.feature] = poison.value;
+      ASSERT_EQ(model.RowFires(nan_row.data(), columns, split), poison.fires);
+      for (std::size_t batch = 1; batch <= 16; ++batch) {
+        for (std::size_t q = 0; q < batch; ++q) {
+          // Quiet rows everywhere, the NaN row at q, a firing row at q + 1.
+          std::vector<double> rows(16 * kStride);
+          for (std::size_t r = 0; r < 16; ++r) {
+            const std::vector<double>& src = r == q ? nan_row : (r == q + 1 ? firing : quiet);
+            std::copy(src.begin(), src.end(), rows.begin() + r * kStride);
+          }
+          const std::size_t expect = poison.fires ? q : std::min(q + 1, batch);
+          ASSERT_EQ(model.Reference(rows, batch, columns, split), expect);
+          for (Tier t : SupportedTiers()) {
+            ASSERT_TRUE(ForceTier(t));
+            EXPECT_EQ(model.Kernel(rows, batch, columns, split), expect)
+                << TierName(t) << " classes=" << classes << " feature=" << poison.feature
+                << " value=" << poison.value << " batch=" << batch << " q=" << q;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Exact ties straddling the split: feature 0 feeds sets split-1 and split
+// equally, feature 1 feeds sets split and split+1 equally, every other
+// weight is 0 and every other bias far below. A row (5, 0) ties across the
+// split, so the prefix wins and it fires; a row (0, 5) ties inside the
+// suffix, so it does not.
+TEST(SimdKernelTest, FirstArgMaxInPrefixResolvesTiesAcrossTheSplitToThePrefix) {
+  TierGuard guard;
+  constexpr std::size_t kStride = PrefixModel::kRowStride;
+  std::vector<std::size_t> columns(13);
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    columns[i] = i;
+  }
+  for (std::size_t classes :
+       {std::size_t{6}, std::size_t{19}, std::size_t{33}, std::size_t{140}}) {
+    Rng rng(15000 + classes);
+    PrefixModel model(columns.size(), classes, rng);
+    const std::size_t split = classes / 2;
+    for (std::size_t i = 0; i < model.dim; ++i) {
+      for (std::size_t c = 0; c < classes; ++c) {
+        model.soa[i * model.stride + c] = 0.0;
+      }
+    }
+    model.soa[split - 1] = 1.0;
+    model.soa[split] = 1.0;
+    model.soa[model.stride + split] = 1.0;
+    model.soa[model.stride + split + 1] = 1.0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      model.biases[c] = c + 1 >= split && c <= split + 1 ? 0.0 : -100.0;
+    }
+    std::vector<double> across(kStride, 0.0);
+    across[0] = 5.0;
+    std::vector<double> inside(kStride, 0.0);
+    inside[1] = 5.0;
+    ASSERT_TRUE(model.RowFires(across.data(), columns, split));
+    ASSERT_FALSE(model.RowFires(inside.data(), columns, split));
+    for (std::size_t batch = 1; batch <= 16; ++batch) {
+      for (std::size_t pos = 0; pos <= batch; ++pos) {
+        std::vector<double> rows(16 * kStride);
+        for (std::size_t r = 0; r < 16; ++r) {
+          const std::vector<double>& src = r == pos ? across : inside;
+          std::copy(src.begin(), src.end(), rows.begin() + r * kStride);
+        }
+        for (Tier t : SupportedTiers()) {
+          ASSERT_TRUE(ForceTier(t));
+          EXPECT_EQ(model.Kernel(rows, batch, columns, split), pos)
+              << TierName(t) << " classes=" << classes << " batch=" << batch;
+        }
+      }
     }
   }
 }
