@@ -1,7 +1,9 @@
 // Large-lexicon scaling evidence: trains the recognizer at 11 (GDP), 50
 // (extensive-lexicon prefix), and 200 (full extensive lexicon) classes and
 // reports held-out accuracy plus per-point p50/p95 latency on the batched
-// SoA path at each size; then runs the confusion-driven lexicon selection
+// SoA path at each size, and (report only, no gate) the ns of one
+// stroke-end EagerStream::ClassifyNowNBest call at depth kMaxNBest; then
+// runs the confusion-driven lexicon selection
 // (classify::SelectLexicon) to prune 200 -> 50 and compares the selected
 // subset against both the full 200-class lexicon and the naive first-50
 // prefix at the same k; finally sweeps every compiled-in SIMD tier to check
@@ -28,6 +30,7 @@
 #include "support/counting_new.h"
 //
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -63,6 +66,8 @@ struct Row {
   double accuracy = 0.0;
   double p50_ns = 0.0;
   double p95_ns = 0.0;
+  double nbest_end_p50_ns = 0.0;
+  double nbest_end_p95_ns = 0.0;
   std::uint64_t points = 0;
 };
 
@@ -131,6 +136,7 @@ class RowBench {
       eager::FireEvent fire;
       stream_.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);
       checksum_ += stream_.ClassifyNow().score;
+      (void)TimeNBestAtStrokeEnd();
       stream_.Reset();
     }
   }
@@ -157,18 +163,46 @@ class RowBench {
   Row Finish() {
     row_.p50_ns = Percentile(samples_, 0.50);
     row_.p95_ns = Percentile(samples_, 0.95);
+    row_.nbest_end_p50_ns = Percentile(nbest_end_samples_, 0.50);
+    row_.nbest_end_p95_ns = Percentile(nbest_end_samples_, 0.95);
     if (!(checksum_ == checksum_)) {
       std::fprintf(stderr, "non-finite checksum\n");
     }
     return row_;
   }
 
+  // One n-best sample: replays pool stroke `i` untimed, then records the ns
+  // of one stroke-end ClassifyNowNBest call.
+  void TimeNBestStroke(std::size_t i) {
+    const geom::Gesture& g = pool_[i];
+    stream_.AddSpan(std::span<const geom::TimedPoint>(g.points()));
+    nbest_end_samples_.push_back(TimeNBestAtStrokeEnd());
+    stream_.Reset();
+  }
+
  private:
+  // Times one stroke-end ClassifyNowNBest call (ranking, probabilities and
+  // the winner's Classification), as a server's end of stroke runs it. The
+  // depth is set only around the call, so AddSpan's fire path is unchanged.
+  double TimeNBestAtStrokeEnd() {
+    stream_.SetNBest(classify::kMaxNBest);
+    classify::Classification top;
+    const Clock::time_point start = Clock::now();
+    const std::size_t count = stream_.ClassifyNowNBest(std::span(nbest_), &top);
+    const Clock::time_point stop = Clock::now();
+    stream_.SetNBest(0);
+    checksum_ += static_cast<double>(count) + top.probability;
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
+  }
+
   Row row_;
   eager::EagerRecognizer recognizer_;
   eager::EagerStream stream_;
   std::vector<geom::Gesture> pool_;
   std::vector<double> samples_;
+  std::vector<double> nbest_end_samples_;
+  std::array<classify::NBestEntry, classify::kMaxNBest> nbest_{};
   double checksum_ = 0.0;
 };
 
@@ -236,25 +270,30 @@ int main(int argc, char** argv) {
   // that has done the smallest share of its pool. So each row's samples
   // spread evenly over the whole rep (the 200-class pool is 18x the 11-class
   // one), a slow stretch of the host lands on every row alike, and the
-  // 200-vs-11 ratio gate below compares rows timed side by side.
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    std::vector<std::size_t> done(benches.size(), 0);
-    while (true) {
-      std::size_t pick = benches.size();
-      for (std::size_t k = 0; k < benches.size(); ++k) {
-        if (done[k] == benches[k]->pool_size()) {
-          continue;
+  // 200-vs-11 ratio gate below compares rows timed side by side. The
+  // stroke-end n-best samples come from a second pass of the same shape,
+  // so they do not share a timed stroke with the per-point samples.
+  for (void (RowBench::*time_stroke)(std::size_t) :
+       {&RowBench::TimeStroke, &RowBench::TimeNBestStroke}) {
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      std::vector<std::size_t> done(benches.size(), 0);
+      while (true) {
+        std::size_t pick = benches.size();
+        for (std::size_t k = 0; k < benches.size(); ++k) {
+          if (done[k] == benches[k]->pool_size()) {
+            continue;
+          }
+          // done[k] / size[k] < done[pick] / size[pick], without division.
+          if (pick == benches.size() ||
+              done[k] * benches[pick]->pool_size() < done[pick] * benches[k]->pool_size()) {
+            pick = k;
+          }
         }
-        // done[k] / size[k] < done[pick] / size[pick], without division.
-        if (pick == benches.size() ||
-            done[k] * benches[pick]->pool_size() < done[pick] * benches[k]->pool_size()) {
-          pick = k;
+        if (pick == benches.size()) {
+          break;
         }
+        (benches[pick].get()->*time_stroke)(done[pick]++);
       }
-      if (pick == benches.size()) {
-        break;
-      }
-      benches[pick]->TimeStroke(done[pick]++);
     }
   }
   std::vector<Row> rows;
@@ -265,8 +304,10 @@ int main(int argc, char** argv) {
   std::printf("lexicon scaling (tier %s, %zu train/class, %zu reps)\n", simd::TierName(active),
               per_class_train, reps);
   for (const Row& row : rows) {
-    std::printf("  %-12s %3zu classes  accuracy %5.1f%%  p50 %8.1f ns/pt  p95 %8.1f ns/pt\n",
-                row.name.c_str(), row.classes, 100.0 * row.accuracy, row.p50_ns, row.p95_ns);
+    std::printf("  %-12s %3zu classes  accuracy %5.1f%%  p50 %8.1f ns/pt  p95 %8.1f ns/pt  "
+                "n-best at stroke end p50 %7.1f ns  p95 %7.1f ns\n",
+                row.name.c_str(), row.classes, 100.0 * row.accuracy, row.p50_ns, row.p95_ns,
+                row.nbest_end_p50_ns, row.nbest_end_p95_ns);
   }
 
   // --- Confusion-driven selection: prune 200 -> 50 and compare against the
@@ -408,6 +449,8 @@ int main(int argc, char** argv) {
           .KV("accuracy", row.accuracy)
           .KV("p50_ns_per_point", row.p50_ns)
           .KV("p95_ns_per_point", row.p95_ns)
+          .KV("nbest_end_p50_ns_per_call", row.nbest_end_p50_ns)
+          .KV("nbest_end_p95_ns_per_call", row.nbest_end_p95_ns)
           .EndObject();
     }
     json.EndArray();

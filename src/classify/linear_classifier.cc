@@ -1,7 +1,10 @@
 #include "classify/linear_classifier.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numbers>
 #include <stdexcept>
 
 #include "linalg/simd.h"
@@ -44,6 +47,66 @@ linalg::Matrix DiagonalFallbackInverse(const linalg::Matrix& sigma, double* floo
     inv(i, i) = 1.0 / (std::isfinite(v) && v > floor ? v : floor);
   }
   return inv;
+}
+
+// A bound such that, for every x below it, adding exp(x) to the running sum
+// `d` (>= 0) leaves d unchanged. With E the biased exponent field of a
+// finite d, ulp(d) is 2^(E - 1075), and under round-to-nearest d + t == d
+// whenever 0 <= t < ulp(d) / 2 = 2^(E - 1076). Below the returned bound the
+// true exp(x) is under 2^(E - 1077), half of that; the factor 2 covers
+// exp's error (assumed within 1 ulp, as libm's is) and the rounding of the
+// bound itself. E is 0 for zero and subnormal d, where the bound is -746.5
+// and exp is exactly 0. An Inf or NaN d keeps its value whatever is added.
+double SkipBelow(double d) {
+  const auto biased_exponent =
+      static_cast<std::int64_t>((std::bit_cast<std::uint64_t>(d) >> 52) & 0x7FF);
+  return static_cast<double>(biased_exponent - 1077) * std::numbers::ln2;
+}
+
+// Rubine's softmax denominator sum_j exp(v_j - v_top), summed in index order
+// like the plain loop, and bit-identical to it: a term is skipped only when
+// it provably cannot change the running sum (see SkipBelow). About 13 of 200
+// lexicon terms and 4 of 11 GDP terms survive. A NaN x compares false and is
+// never skipped, so NaN still propagates.
+double SoftmaxDenominator(linalg::VecView scores, double v_top) {
+  double denom = 0.0;
+  double skip_below = SkipBelow(denom);
+  for (double v_j : scores) {
+    const double x = v_j - v_top;
+    if (x < skip_below) {
+      continue;
+    }
+    denom += std::exp(x);
+    skip_below = SkipBelow(denom);
+  }
+  return denom;
+}
+
+// Ranks the top out.size() classes in one insertion pass under the order
+// (score descending, class id ascending): a class enters when it beats the
+// last entry, and shifts down only entries with a strictly lower score, so a
+// later id never displaces an equal score. out[0] is the strict-> first max.
+// Returns false, with `out` partly written, at the first NaN score (NaN is
+// outside that order); the caller then runs the reference scans.
+bool RankInOnePass(linalg::VecView scores, std::span<NBestEntry> out) {
+  const std::size_t n = out.size();
+  std::size_t filled = 0;
+  for (std::size_t c = 0; c < scores.size(); ++c) {
+    const double s = scores[c];
+    if (filled == n && s <= out[n - 1].score) {
+      continue;
+    }
+    if (std::isnan(s)) {
+      return false;
+    }
+    std::size_t k = filled < n ? filled++ : n - 1;
+    for (; k > 0 && out[k - 1].score < s; --k) {
+      out[k] = out[k - 1];
+    }
+    out[k].class_id = c;
+    out[k].score = s;
+  }
+  return true;
 }
 
 }  // namespace
@@ -243,41 +306,41 @@ std::size_t LinearClassifier::EvaluateNBest(linalg::VecView f, linalg::MutVecVie
   if (n == 0) {
     return 0;
   }
-  // Repeated first-max scans under the total order (score desc, class id
-  // asc): rank k is the maximum among classes strictly after rank k-1 in
-  // that order. O(n * C) with n small, no allocation, deterministic — and
-  // rank 0 is exactly BestClassView's strict-> argmax.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  double prev_score = 0.0;
-  std::size_t prev_id = kNone;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t best = kNone;
-    for (std::size_t c = 0; c < scores.size(); ++c) {
-      if (prev_id != kNone &&
-          (scores[c] > prev_score || (scores[c] == prev_score && c <= prev_id))) {
-        continue;  // already ranked (or would rank earlier than) rank k-1
+  if (!RankInOnePass(scores, out.first(n))) {
+    // A NaN score: repeated first-max scans under the total order (score
+    // desc, class id asc), the reference semantics for NaN input: rank k is
+    // the maximum among classes strictly after rank k-1 in that order.
+    // O(n * C) with n small, no allocation, deterministic — and rank 0 is
+    // exactly BestClassView's strict-> argmax.
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    double prev_score = 0.0;
+    std::size_t prev_id = kNone;
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t best = kNone;
+      for (std::size_t c = 0; c < scores.size(); ++c) {
+        if (prev_id != kNone &&
+            (scores[c] > prev_score || (scores[c] == prev_score && c <= prev_id))) {
+          continue;  // already ranked (or would rank earlier than) rank k-1
+        }
+        if (best == kNone || scores[c] > scores[best]) {
+          best = c;
+        }
       }
-      if (best == kNone || scores[c] > scores[best]) {
-        best = c;
+      if (best == kNone) {
+        return k;  // fewer distinct candidates than requested (NaN scores)
       }
+      out[k].class_id = best;
+      out[k].score = scores[best];
+      prev_score = scores[best];
+      prev_id = best;
     }
-    if (best == kNone) {
-      return k;  // fewer distinct candidates than requested (NaN scores)
-    }
-    out[k].class_id = best;
-    out[k].score = scores[best];
-    prev_score = scores[best];
-    prev_id = best;
   }
   // Calibrate probabilities against ALL classes with the winner as the
-  // softmax anchor — the same summation order as RecognitionProbability, so
+  // softmax anchor — the same denominator as RecognitionProbability, so
   // rank 0's share (exp(0) / denom == 1 / denom) is bit-identical to
   // Classification::probability.
   const double v_top = out[0].score;
-  double denom = 0.0;
-  for (double v_j : scores) {
-    denom += std::exp(v_j - v_top);
-  }
+  const double denom = SoftmaxDenominator(scores, v_top);
   for (std::size_t k = 0; k < n; ++k) {
     out[k].probability = std::exp(out[k].score - v_top) / denom;
   }
@@ -342,21 +405,9 @@ LinearClassifier LinearClassifier::FromParameters(std::vector<linalg::Vector> we
   return out;
 }
 
-double RecognitionProbability(const std::vector<double>& scores, ClassId winner) {
-  if (winner >= scores.size()) {
-    throw std::out_of_range("RecognitionProbability: winner out of range");
-  }
-  return RecognitionProbability(linalg::VecView(scores.data(), scores.size()), winner);
-}
-
 double RecognitionProbability(linalg::VecView scores, ClassId winner) {
   assert(winner < scores.size());
-  const double v_i = scores[winner];
-  double denom = 0.0;
-  for (double v_j : scores) {
-    denom += std::exp(v_j - v_i);
-  }
-  return 1.0 / denom;
+  return 1.0 / SoftmaxDenominator(scores, scores[winner]);
 }
 
 }  // namespace grandma::classify

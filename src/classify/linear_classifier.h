@@ -152,7 +152,9 @@ class LinearClassifier {
   // out[0].score are bit-identical to Classify/ClassifyView on the same
   // features, and out[0].probability is bit-identical to
   // Classification::probability (both reduce to 1 / sum_j exp(v_j - v_top)
-  // with the same summation order). Scores come from the dispatched SoA
+  // through the same denominator). The ranking is one insertion pass over
+  // the scores; a NaN score falls back to repeated first-max scans, which
+  // define the result for NaN input. Scores come from the dispatched SoA
   // kernel, so the whole ranking is bit-identical across SIMD tiers.
   // `scores` is caller scratch sized num_classes(); returns the number of
   // entries written. Allocation-free.
@@ -212,10 +214,10 @@ class LinearClassifier {
   linalg::simd::AlignedBuffer flat_means_;
 };
 
-// Computes Rubine's P(correct) estimate given all per-class scores and the
-// index of the winner.
-double RecognitionProbability(const std::vector<double>& scores, ClassId winner);
-// View flavor (identical arithmetic, no allocation).
+// Computes Rubine's P(correct) estimate 1 / sum_j exp(v_j - v_winner) given
+// all per-class scores and the index of the winner. The sum runs in index
+// order and skips only terms that cannot change it, so the result is
+// bit-identical to the plain loop. No allocation.
 double RecognitionProbability(linalg::VecView scores, ClassId winner);
 
 }  // namespace grandma::classify

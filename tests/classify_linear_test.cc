@@ -3,12 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numbers>
 #include <stdexcept>
 #include <vector>
 
+#include "classify/gesture_classifier.h"
 #include "classify/training_set.h"
+#include "features/extractor.h"
+#include "linalg/simd.h"
 #include "linalg/vec_view.h"
+#include "synth/generator.h"
+#include "synth/lexicon.h"
+#include "synth/sets.h"
 
 namespace grandma::classify {
 namespace {
@@ -126,14 +137,183 @@ TEST(LinearClassifierTest, UsesBeforeTrainingThrow) {
                std::logic_error);
 }
 
+linalg::VecView ViewOf(const std::vector<double>& v) { return {v.data(), v.size()}; }
+
 TEST(RecognitionProbabilityTest, UniformScoresGiveOneOverC) {
   const std::vector<double> scores{3.0, 3.0, 3.0, 3.0};
-  EXPECT_NEAR(RecognitionProbability(scores, 0), 0.25, 1e-12);
+  EXPECT_NEAR(RecognitionProbability(ViewOf(scores), 0), 0.25, 1e-12);
 }
 
 TEST(RecognitionProbabilityTest, DominantWinnerNearOne) {
   const std::vector<double> scores{100.0, 0.0, -5.0};
-  EXPECT_NEAR(RecognitionProbability(scores, 0), 1.0, 1e-12);
+  EXPECT_NEAR(RecognitionProbability(ViewOf(scores), 0), 1.0, 1e-12);
+}
+
+// The plain softmax denominator: exp of every term, summed in index order.
+// RecognitionProbability skips terms that cannot change this sum, so it must
+// reproduce it bit for bit.
+double FullSum(const std::vector<double>& scores, std::size_t winner) {
+  double denom = 0.0;
+  for (double v_j : scores) {
+    denom += std::exp(v_j - scores[winner]);
+  }
+  return denom;
+}
+
+double FullSumProbability(const std::vector<double>& scores, std::size_t winner) {
+  return 1.0 / FullSum(scores, winner);
+}
+
+// Bit equality, except that any NaN matches any NaN (the payload is not part
+// of the contract; NaN-ness is).
+::testing::AssertionResult SameBits(double expected, double actual) {
+  if (std::isnan(expected) ? std::isnan(actual)
+                           : std::memcmp(&expected, &actual, sizeof(double)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << std::hexfloat << "expected " << expected << ", got "
+                                       << actual;
+}
+
+void ExpectMatchesFullSum(const std::vector<double>& scores, std::size_t winner) {
+  EXPECT_TRUE(SameBits(FullSumProbability(scores, winner),
+                       RecognitionProbability(ViewOf(scores), winner)))
+      << "winner " << winner << " of " << scores.size();
+}
+
+int BiasedExponent(double d) {
+  return static_cast<int>((std::bit_cast<std::uint64_t>(d) >> 52) & 0x7FF);
+}
+
+// Terms at, one ulp below and one ulp above the skip bound (E - 1077) ln 2
+// of the running sum they are added to, and the same one binade up, for
+// every binade the sum can reach. The running sum before the probed term is
+// 1 + exp(a) + exp(b) with the winner first (E >= 1023), or exp(a) + exp(b)
+// with the winner last (E < 1023); the offsets vary the sum's low mantissa
+// bits, so some probes are round-to-even ties that do change the sum.
+TEST(RecognitionProbabilityTest, TermsAroundTheSkipBoundMatchFullSum) {
+  const double kDown = -std::numeric_limits<double>::infinity();
+  const double kUp = std::numeric_limits<double>::infinity();
+  for (int e = 1; e < 2047; ++e) {
+    for (int offset = 0; offset < 8; ++offset) {
+      const double a = (e - 1024 + (offset + 0.5) / 8.0) * std::numbers::ln2;
+      const double b = a - 0.25 - 0.1 * offset;
+      const bool winner_first = e >= 1023;
+      const double before =
+          winner_first ? 1.0 + std::exp(a) + std::exp(b) : std::exp(a) + std::exp(b);
+      for (int binades_up = 0; binades_up < 2; ++binades_up) {
+        const double bound = (BiasedExponent(before) - 1077 + binades_up) * std::numbers::ln2;
+        for (const double x : {bound, std::nextafter(bound, kDown), std::nextafter(bound, kUp)}) {
+          if (winner_first) {
+            ExpectMatchesFullSum({0.0, a, b, x}, 0);
+          } else {
+            ExpectMatchesFullSum({a, b, x, 0.0}, 3);
+          }
+        }
+      }
+    }
+  }
+}
+
+// A running sum that crosses a binade at most steps (each step adds
+// exp(step / 2)), probed after every step one ulp either side of the
+// current skip bound and of the previous binade's bound.
+TEST(RecognitionProbabilityTest, RunningSumsCrossingBinadesMatchFullSum) {
+  const double kDown = -std::numeric_limits<double>::infinity();
+  const double kUp = std::numeric_limits<double>::infinity();
+  std::vector<double> scores{0.0};
+  for (int step = 0; step < 40; ++step) {
+    scores.push_back(step * 0.5);
+    const double before = FullSum(scores, 0);
+    for (int binades_down = 0; binades_down < 2; ++binades_down) {
+      const double bound = (BiasedExponent(before) - 1077 - binades_down) * std::numbers::ln2;
+      scores.push_back(std::nextafter(bound, kUp));
+      scores.push_back(std::nextafter(bound, kDown));
+    }
+    ExpectMatchesFullSum(scores, 0);
+  }
+}
+
+TEST(RecognitionProbabilityTest, CraftedVectorsMatchFullSum) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Pseudo-random scores spanning terms far below and near the winner.
+  std::vector<double> spread;
+  std::uint64_t state = 1991;
+  for (int c = 0; c < 200; ++c) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    spread.push_back(-60.0 + 70.0 * static_cast<double>(state >> 11) * 0x1.0p-53);
+  }
+  const std::vector<std::vector<double>> cases = {
+      {5.0},                                  // one class
+      {1.0, 2.0},                             // two classes
+      {2.0, 2.0},
+      {1.0, 3.5, -2.0, 3.2},
+      {3.0, 3.0, 3.0, 3.0},                   // all equal
+      std::vector<double>(200, -1.25),
+      spread,
+      // Subnormal partial sums before the winner.
+      {-744.0, -744.4, -745.0, -745.1, -746.4, -746.6, -800.0, -740.0, 0.0},
+      {-745.0, -745.0, -745.0, -745.0, 0.0, -745.0},
+      // -Inf terms (and a -Inf winner, whose own term is NaN).
+      {-inf, 0.0, -inf, -1.0},
+      // +Inf scores: the sum overflows, or the winner's own term is NaN.
+      {inf, 0.0},
+      {0.0, inf, 1.0},
+      {0.0, 710.0, 1.0},
+      // NaN scores: NaN must stay NaN wherever it sits.
+      {nan, 0.0, 1.0},
+      {0.0, 1.0, nan},
+      {0.0, -1000.0, nan, -1000.0},
+      {inf, nan, 0.0},
+  };
+  for (const std::vector<double>& scores : cases) {
+    for (std::size_t winner = 0; winner < scores.size(); ++winner) {
+      ExpectMatchesFullSum(scores, winner);
+    }
+  }
+}
+
+// Every prefix of held-out strokes (so early, ambiguous prefixes and
+// finished strokes alike) at GDP's 11 classes and the lexicon's 200: the
+// winner's probability, and two fixed anchors, match the full sum bit for
+// bit.
+void ExpectHeldOutPrefixesMatchFullSum(const std::vector<synth::PathSpec>& specs,
+                                       std::size_t train_per_class) {
+  const synth::NoiseModel noise;
+  GestureClassifier classifier;
+  classifier.Train(synth::ToTrainingSet(synth::GenerateSet(specs, noise, train_per_class, 1991)));
+  const LinearClassifier& linear = classifier.linear();
+  std::vector<double> scores(linear.num_classes());
+  linalg::Vector masked(classifier.mask().count());
+  std::size_t rows = 0;
+  for (const synth::LabeledSamples& batch : synth::GenerateSet(specs, noise, 4, 2026)) {
+    for (const synth::GestureSample& sample : batch.samples) {
+      for (const linalg::Vector& f : features::ExtractPrefixFeatures(sample.gesture)) {
+        classifier.mask().ProjectInto(f.view(), masked.view());
+        linear.EvaluateInto(masked.view(), linalg::MutVecView(scores.data(), scores.size()));
+        for (const std::size_t winner :
+             {linalg::simd::ArgMax(scores.data(), scores.size()), std::size_t{0},
+              scores.size() - 1}) {
+          ASSERT_TRUE(SameBits(FullSumProbability(scores, winner),
+                               RecognitionProbability(ViewOf(scores), winner)))
+              << "row " << rows << ", winner " << winner;
+        }
+        ++rows;
+      }
+    }
+  }
+  EXPECT_GT(rows, 40 * specs.size());
+}
+
+TEST(RecognitionProbabilityTest, HeldOutGdpPrefixesMatchFullSum) {
+  ExpectHeldOutPrefixesMatchFullSum(synth::MakeGdpSpecs(), 10);
+}
+
+TEST(RecognitionProbabilityTest, HeldOutLexiconPrefixesMatchFullSum) {
+  synth::LexiconOptions lex;
+  lex.num_classes = 200;
+  ExpectHeldOutPrefixesMatchFullSum(synth::MakeExtensiveLexicon(lex), 4);
 }
 
 // The zero-allocation kernel surface (EvaluateInto / BestClassView /
@@ -186,14 +366,6 @@ TEST(LinearClassifierTest, KernelSurfaceValidatesScratchSizes) {
   // Wrong feature width.
   const linalg::Vector bad{1.0};
   EXPECT_THROW(c.EvaluateInto(bad.view(), linalg::ViewOf(buf, 2)), std::invalid_argument);
-}
-
-TEST(LinearClassifierTest, RecognitionProbabilityViewMatchesVectorFlavor) {
-  const std::vector<double> scores{1.0, 3.5, -2.0, 3.2};
-  const linalg::VecView view(scores.data(), scores.size());
-  for (ClassId w = 0; w < scores.size(); ++w) {
-    EXPECT_EQ(RecognitionProbability(view, w), RecognitionProbability(scores, w));
-  }
 }
 
 TEST(LinearClassifierTest, FromParametersRoundTrip) {

@@ -5,8 +5,10 @@
 // whose scores are bit-identical across tiers by design).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -159,6 +161,137 @@ TEST(NBestTest, EntriesNameDistinctClasses) {
       }
     }
   }
+}
+
+// Reference n-best: repeated first-max scans (EvaluateNBest runs the same
+// scans itself on NaN input) and the plain softmax denominator. Its one-pass
+// ranking and skipped-term denominator must match this bit for bit.
+std::size_t ReferenceNBest(const std::vector<double>& scores, std::span<NBestEntry> out) {
+  const std::size_t n = std::min(out.size(), scores.size());
+  if (n == 0) {
+    return 0;
+  }
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  double prev_score = 0.0;
+  std::size_t prev_id = kNone;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t best = kNone;
+    for (std::size_t c = 0; c < scores.size(); ++c) {
+      if (prev_id != kNone &&
+          (scores[c] > prev_score || (scores[c] == prev_score && c <= prev_id))) {
+        continue;
+      }
+      if (best == kNone || scores[c] > scores[best]) {
+        best = c;
+      }
+    }
+    if (best == kNone) {
+      return k;
+    }
+    out[k].class_id = best;
+    out[k].score = scores[best];
+    prev_score = scores[best];
+    prev_id = best;
+  }
+  const double v_top = out[0].score;
+  double denom = 0.0;
+  for (double v_j : scores) {
+    denom += std::exp(v_j - v_top);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    out[k].probability = std::exp(out[k].score - v_top) / denom;
+  }
+  return n;
+}
+
+// A classifier whose scores are exactly `scores`: one feature, zero weights,
+// the scores as biases, evaluated at f = 0 (bias + 0 * 0 is the bias, except
+// that -0 becomes +0, which no case below uses).
+LinearClassifier ScoresClassifier(const std::vector<double>& scores) {
+  std::vector<linalg::Vector> weights(scores.size(), linalg::Vector{0.0});
+  std::vector<linalg::Vector> means(scores.size(), linalg::Vector{0.0});
+  return LinearClassifier::FromParameters(std::move(weights), scores, std::move(means),
+                                          linalg::Matrix::Identity(1));
+}
+
+// Bit equality, except that any NaN matches any NaN.
+bool SameBits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || BitEqual(a, b);
+}
+
+void ExpectRankingMatchesReference(const std::vector<double>& scores, std::size_t depth) {
+  const LinearClassifier c = ScoresClassifier(scores);
+  const linalg::Vector f{0.0};
+  std::vector<double> evaluated(scores.size());
+  // Entries the NaN fallback leaves unwritten must match too: same sentinel.
+  const NBestEntry sentinel{999, -7.0, -7.0};
+  std::vector<NBestEntry> got(depth, sentinel);
+  const std::size_t got_count = c.EvaluateNBest(
+      f.view(), linalg::MutVecView(evaluated.data(), evaluated.size()), std::span(got));
+  for (std::size_t j = 0; j < scores.size(); ++j) {
+    ASSERT_TRUE(SameBits(evaluated[j], scores[j])) << "class " << j;
+  }
+  std::vector<NBestEntry> want(depth, sentinel);
+  const std::size_t want_count = ReferenceNBest(evaluated, std::span(want));
+  ASSERT_EQ(got_count, want_count) << "depth " << depth << " of " << scores.size();
+  for (std::size_t k = 0; k < depth; ++k) {
+    EXPECT_EQ(got[k].class_id, want[k].class_id) << "rank " << k << ", depth " << depth;
+    EXPECT_TRUE(SameBits(got[k].score, want[k].score)) << "rank " << k << ", depth " << depth;
+    EXPECT_TRUE(SameBits(got[k].probability, want[k].probability))
+        << "rank " << k << ", depth " << depth;
+  }
+}
+
+void ExpectRankingMatchesReferenceAtEveryDepth(const std::vector<double>& scores) {
+  for (std::size_t depth = 1; depth <= scores.size() + 2; ++depth) {
+    ExpectRankingMatchesReference(scores, depth);
+  }
+}
+
+TEST(NBestTest, RankingMatchesRepeatedScansOnCraftedScores) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> cases = {
+      {4.0},
+      {4.0, 4.0},
+      {1.0, 5.0, 5.0, 3.0, 5.0, 2.0},            // three-way tie at rank 0
+      {9.0, 6.0, 8.0, 6.0, 7.0, 6.0, 1.0, 6.0},  // ties straddle every cut from 3 on
+      {6.0, 6.0, 6.0, 6.0, 6.0, 6.0},
+      {-inf, 2.0, -inf, -inf, 0.5},              // -Inf scores
+      {-inf, -inf, -inf},                        // all -Inf: NaN probabilities
+      {1.0, inf, 3.0, inf},                      // +Inf scores
+      {-1e300, 1e300, 0.0, -0.5, 1e-300},
+  };
+  for (const std::vector<double>& scores : cases) {
+    ExpectRankingMatchesReferenceAtEveryDepth(scores);
+  }
+}
+
+TEST(NBestTest, RankingMatchesRepeatedScansOnDenseTies) {
+  std::uint64_t state = 2026;
+  for (int trial = 0; trial < 300; ++trial) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::size_t classes = 1 + (state >> 33) % 40;
+    std::vector<double> scores(classes);
+    for (double& v : scores) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      v = static_cast<double>(static_cast<int>((state >> 33) % 7) - 3);
+    }
+    ExpectRankingMatchesReferenceAtEveryDepth(scores);
+  }
+}
+
+// A NaN score leaves the one-pass order, so EvaluateNBest falls back to the
+// repeated scans; the result must be theirs wherever the NaN sits.
+TEST(NBestTest, RankingWithNanScoresFallsBackToRepeatedScans) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> base{2.0, 7.0, 7.0, -1.0, 4.0, 9.0, 4.0};
+  for (const std::size_t at : {std::size_t{0}, base.size() / 2, base.size() - 1}) {
+    std::vector<double> scores = base;
+    scores[at] = nan;
+    ExpectRankingMatchesReferenceAtEveryDepth(scores);
+  }
+  ExpectRankingMatchesReferenceAtEveryDepth({nan, nan, nan});
+  ExpectRankingMatchesReferenceAtEveryDepth({1.0, nan, 1.0, nan});
 }
 
 // The ranking (ids, scores, probabilities) must be bitwise identical under
