@@ -257,12 +257,6 @@ void LinearClassifier::EvaluateInto(linalg::VecView f, linalg::MutVecView scores
   EvaluateAllInto(f, scores);
 }
 
-std::vector<double> LinearClassifier::Evaluate(const linalg::Vector& f) const {
-  std::vector<double> scores(num_classes());
-  EvaluateInto(f.view(), linalg::MutVecView(scores.data(), scores.size()));
-  return scores;
-}
-
 ClassId LinearClassifier::BestClassView(linalg::VecView f, linalg::MutVecView scores) const {
   EvaluateInto(f, scores);
   // Dispatched first-max scan: first index wins ties on every tier.
@@ -357,7 +351,7 @@ Classification LinearClassifier::Classify(const linalg::Vector& f) const {
 double LinearClassifier::MahalanobisSquaredView(linalg::VecView f, ClassId c,
                                                 linalg::MutVecView diff) const {
   if (!trained()) {
-    throw std::logic_error("LinearClassifier::MahalanobisSquaredBetween before Train");
+    throw std::logic_error("LinearClassifier::MahalanobisSquaredView before Train");
   }
   const std::size_t dim = dimension();
   if (c >= num_classes()) {
@@ -372,19 +366,10 @@ double LinearClassifier::MahalanobisSquaredView(linalg::VecView f, ClassId c,
 }
 
 double LinearClassifier::MahalanobisSquared(const linalg::Vector& f, ClassId c) const {
-  // Delegates to the view kernel (not MahalanobisSquaredBetween) so the
-  // allocating and view flavors stay bit-identical under SIMD dispatch.
+  // Delegates to the view kernel so the allocating and view flavors stay
+  // bit-identical under SIMD dispatch.
   std::vector<double> diff(dimension());
   return MahalanobisSquaredView(f.view(), c, linalg::MutVecView(diff.data(), diff.size()));
-}
-
-double LinearClassifier::MahalanobisSquaredBetween(const linalg::Vector& a,
-                                                   const linalg::Vector& b) const {
-  if (!trained()) {
-    throw std::logic_error("LinearClassifier::MahalanobisSquaredBetween before Train");
-  }
-  const linalg::Vector d = a - b;
-  return linalg::QuadraticForm(d, inverse_covariance_, d);
 }
 
 void LinearClassifier::AdjustBias(ClassId c, double delta) { biases_.at(c) += delta; }

@@ -1,6 +1,7 @@
 #include "eager/auc.h"
 
 #include <array>
+#include <cmath>
 #include <stdexcept>
 
 #include "linalg/simd.h"
@@ -88,28 +89,48 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
   // complete set (that is the "serious mistake" — it would fire eager
   // recognition on an ambiguous prefix). Lower offending complete-class
   // constants until clean or the pass budget runs out.
+  //
+  // Only the first pass needs to evaluate every incomplete subgesture.
+  // Incomplete biases never change from here on, and a tweak only lowers a
+  // complete bias; a score is its feature sum plus its bias, rounded
+  // monotonically, so complete scores never rise. Complete sets are the id
+  // prefix, so a subgesture whose first-max winner is incomplete keeps that
+  // winner in every later pass. Each later pass therefore evaluates, in
+  // partition order, only the subgestures the previous pass adjusted: the
+  // same AdjustBias sequence as evaluating everything, with the same bits.
+  // Should an adjustment fail to leave a finite, strictly lower bias (a NaN
+  // or infinite gap), that argument no longer holds, and from then on every
+  // subgesture is evaluated again.
+  struct Entry {
+    classify::ClassId set;
+    std::size_t index;
+  };
+  std::vector<Entry> worklist;  // the previous pass's adjustments, in order
+  std::vector<Entry> adjusted;
+  bool monotone = true;
+  std::vector<double> scores(linear_.num_classes());
+  const linalg::MutVecView scores_view(scores.data(), scores.size());
   for (std::size_t pass = 0; pass < options.max_tweak_passes; ++pass) {
     ++report.tweak_passes;
-    std::size_t adjustments = 0;
+    adjusted.clear();
+    std::size_t next = 0;  // the next worklist entry
     for (classify::ClassId c = 0; c < partition.num_classes(); ++c) {
-      for (const LabeledSubgesture& sub : partition.incomplete_sets[c]) {
-        const std::vector<double> scores = linear_.Evaluate(sub.features);
-        classify::ClassId winner = 0;
-        for (classify::ClassId k = 1; k < scores.size(); ++k) {
-          if (scores[k] > scores[winner]) {
-            winner = k;
-          }
-        }
-        if (!sets_[winner].complete) {
+      for (std::size_t i = 0; i < partition.incomplete_sets[c].size(); ++i) {
+        const bool listed = next < worklist.size() && worklist[next].set == c &&
+                            worklist[next].index == i;
+        next += listed ? 1 : 0;
+        if (pass > 0 && monotone && !listed) {
           continue;
         }
+        const linalg::VecView f = partition.incomplete_sets[c][i].features.view();
+        if (!linear_.EvaluateWinnerInPrefix(f, num_complete_)) {
+          continue;  // The winner is an incomplete set: nothing to correct.
+        }
+        const classify::ClassId winner = linear_.BestClassView(f, scores_view);
         // Best incomplete score: the target the winner must drop below.
         double best_incomplete = 0.0;
         bool first = true;
-        for (classify::ClassId k = 0; k < scores.size(); ++k) {
-          if (sets_[k].complete) {
-            continue;
-          }
+        for (classify::ClassId k = num_complete_; k < scores.size(); ++k) {
           if (first || scores[k] > best_incomplete) {
             best_incomplete = scores[k];
             first = false;
@@ -117,14 +138,18 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
         }
         const double gap = scores[winner] - best_incomplete;
         const double delta = gap * (1.0 + options.tweak_margin) + 1e-9;
+        const double before = linear_.bias(winner);
         linear_.AdjustBias(winner, -delta);
-        ++adjustments;
+        const double after = linear_.bias(winner);
+        monotone = monotone && std::isfinite(after) && after < before;
+        adjusted.push_back(Entry{c, i});
       }
     }
-    report.tweak_adjustments += adjustments;
-    if (adjustments == 0) {
+    report.tweak_adjustments += adjusted.size();
+    if (adjusted.empty()) {
       return report;
     }
+    worklist.swap(adjusted);
   }
   report.converged = false;
   return report;

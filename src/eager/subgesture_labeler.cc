@@ -1,6 +1,9 @@
 #include "eager/subgesture_labeler.h"
 
+#include <vector>
+
 #include "features/extractor.h"
+#include "linalg/vec_view.h"
 
 namespace grandma::eager {
 
@@ -29,6 +32,9 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
   partition.incomplete_sets.resize(num_classes);
 
   const std::size_t min_prefix = std::max<std::size_t>(options.min_prefix_points, 1);
+  // Score scratch for the prefix verdicts, reused across every prefix.
+  std::vector<double> scores(full.linear().num_classes());
+  const linalg::MutVecView scores_view(scores.data(), scores.size());
 
   for (classify::ClassId c = 0; c < training.num_classes(); ++c) {
     for (const geom::Gesture& g : training.ExamplesOf(c)) {
@@ -52,7 +58,7 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
         sub.prefix_len = len;
         sub.gesture_len = g.size();
         sub.true_class = c;
-        sub.predicted_class = full.linear().Classify(sub.features).class_id;
+        sub.predicted_class = full.linear().BestClassView(sub.features.view(), scores_view);
         subs.push_back(std::move(sub));
       }
 

@@ -33,8 +33,12 @@ class MeanAccumulator {
 class ScatterAccumulator {
  public:
   explicit ScatterAccumulator(std::size_t dimension)
-      : mean_(dimension), scatter_(dimension, dimension) {}
+      : mean_(dimension), scatter_(dimension, dimension), delta_(dimension), delta2_(dimension) {}
 
+  // One Welford step. Allocation-free: the deviations go into the
+  // accumulator's own scratch, and each upper-triangle term is added to both
+  // (i, j) and (j, i) — the same bits the full-matrix loop adds to each,
+  // since the term's two products are summed in commutative IEEE addition.
   void Add(const Vector& sample);
 
   // Reconstructs an accumulator from persisted moments — the exact inverse
@@ -60,6 +64,9 @@ class ScatterAccumulator {
   Vector mean_;
   Matrix scatter_;
   std::size_t count_ = 0;
+  // Add's scratch: sample - mean before and after the mean update.
+  Vector delta_;
+  Vector delta2_;
 };
 
 // Rubine's pooled covariance: the scatter matrices of all classes summed and

@@ -55,7 +55,8 @@ TEST(LinearClassifierTest, DecisionBoundaryPassesThroughMeanMidpoint) {
   // With w_c = Sigma^-1 mu_c and w_c0 = -1/2 mu_c^T Sigma^-1 mu_c, the two
   // scores are exactly equal at the midpoint of the class means.
   const linalg::Vector midpoint = 0.5 * (c.mean(0) + c.mean(1));
-  const auto scores = c.Evaluate(midpoint);
+  std::array<double, 2> scores{};
+  c.EvaluateAllInto(midpoint.view(), linalg::ViewOf(scores));
   EXPECT_NEAR(scores[0], scores[1], 1e-6 * (1.0 + std::abs(scores[0])));
 }
 
@@ -132,9 +133,10 @@ TEST(LinearClassifierTest, TrainingValidation) {
 
 TEST(LinearClassifierTest, UsesBeforeTrainingThrow) {
   LinearClassifier c;
-  EXPECT_THROW(c.Evaluate(linalg::Vector{1.0}), std::logic_error);
-  EXPECT_THROW(c.MahalanobisSquaredBetween(linalg::Vector{1.0}, linalg::Vector{1.0}),
+  std::array<double, 1> scores{};
+  EXPECT_THROW(c.EvaluateAllInto(linalg::Vector{1.0}.view(), linalg::ViewOf(scores)),
                std::logic_error);
+  EXPECT_THROW(c.MahalanobisSquared(linalg::Vector{1.0}, 0), std::logic_error);
 }
 
 linalg::VecView ViewOf(const std::vector<double>& v) { return {v.data(), v.size()}; }
@@ -318,7 +320,8 @@ TEST(RecognitionProbabilityTest, HeldOutLexiconPrefixesMatchFullSum) {
 
 // The zero-allocation kernel surface (EvaluateInto / BestClassView /
 // ClassifyView / MahalanobisSquaredView) must be bit-identical to the
-// allocating flavors it backs — exact == on doubles, no tolerance.
+// allocating Classify it backs, and the scores to the classic per-class
+// "Dot(w_c, f) + w_c0" loop — exact == on doubles, no tolerance.
 TEST(LinearClassifierTest, KernelSurfaceMatchesAllocatingSurfaceBitForBit) {
   LinearClassifier c;
   c.Train(TwoClusters());
@@ -329,7 +332,10 @@ TEST(LinearClassifierTest, KernelSurfaceMatchesAllocatingSurfaceBitForBit) {
   const linalg::MutVecView scores = linalg::ViewOf(scores_buf);
   const linalg::MutVecView diff = linalg::ViewOf(diff_buf);
   for (const linalg::Vector& f : probes) {
-    const std::vector<double> legacy_scores = c.Evaluate(f);
+    std::vector<double> legacy_scores;
+    for (ClassId k = 0; k < c.num_classes(); ++k) {
+      legacy_scores.push_back(linalg::Dot(c.weights(k), f) + c.bias(k));
+    }
     c.EvaluateInto(f.view(), scores);
     ASSERT_EQ(legacy_scores.size(), scores.size());
     for (std::size_t i = 0; i < scores.size(); ++i) {

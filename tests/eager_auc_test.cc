@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "eager/accidental_mover.h"
 #include "linalg/simd.h"
 #include "synth/generator.h"
+#include "synth/lexicon.h"
 #include "synth/sets.h"
 
 namespace grandma::eager {
@@ -232,6 +236,157 @@ TEST(AucTest, BatchedCheckRefusesMoreFeaturesThanAGatherHolds) {
   EXPECT_THROW(auc.FirstUnambiguous(row.data(), 1, dim, columns.data(),
                                     linalg::MutVecView(scores.data(), scores.size())),
                std::invalid_argument);
+}
+
+// The tweak pass as it ran before the worklist: every pass evaluates every
+// incomplete subgesture into a fresh score vector, takes the first-max
+// winner, and lowers a complete winner's bias below the best incomplete
+// score. Starts from `untweaked`, an AUC trained with no tweak passes.
+struct TweakOutcome {
+  std::vector<double> biases;
+  std::size_t passes = 0;
+  std::size_t adjustments = 0;
+  bool converged = false;
+};
+
+TweakOutcome FullScanTweak(const Auc& untweaked, const SubgesturePartition& partition,
+                           const AucOptions& options) {
+  classify::LinearClassifier linear = untweaked.linear();
+  TweakOutcome out;
+  for (std::size_t pass = 0; pass < options.max_tweak_passes && !out.converged; ++pass) {
+    ++out.passes;
+    std::size_t adjustments = 0;
+    for (classify::ClassId c = 0; c < partition.num_classes(); ++c) {
+      for (const LabeledSubgesture& sub : partition.incomplete_sets[c]) {
+        std::vector<double> scores(linear.num_classes());
+        linear.EvaluateAllInto(sub.features.view(),
+                               linalg::MutVecView(scores.data(), scores.size()));
+        classify::ClassId winner = 0;
+        for (classify::ClassId k = 1; k < scores.size(); ++k) {
+          if (scores[k] > scores[winner]) {
+            winner = k;
+          }
+        }
+        if (!untweaked.ClassInfo(winner).complete) {
+          continue;
+        }
+        double best_incomplete = 0.0;
+        bool first = true;
+        for (classify::ClassId k = 0; k < scores.size(); ++k) {
+          if (untweaked.ClassInfo(k).complete) {
+            continue;
+          }
+          if (first || scores[k] > best_incomplete) {
+            best_incomplete = scores[k];
+            first = false;
+          }
+        }
+        const double gap = scores[winner] - best_incomplete;
+        const double delta = gap * (1.0 + options.tweak_margin) + 1e-9;
+        linear.AdjustBias(winner, -delta);
+        ++adjustments;
+      }
+    }
+    out.adjustments += adjustments;
+    out.converged = adjustments == 0;
+  }
+  for (classify::ClassId k = 0; k < linear.num_classes(); ++k) {
+    out.biases.push_back(linear.bias(k));
+  }
+  return out;
+}
+
+// Bits, except that every NaN matches every NaN (payload propagation is
+// operand-order dependent and no part of the contract).
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b);
+  }
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Trains the AUC with the worklist tweak pass and checks biases and
+// counters against the full-scan reference. Returns the trained AUC.
+Auc ExpectTweakMatchesFullScan(const SubgesturePartition& partition,
+                               const AucOptions& options) {
+  AucOptions untweaked_options = options;
+  untweaked_options.max_tweak_passes = 0;
+  Auc untweaked;
+  untweaked.Train(partition, untweaked_options);
+  const TweakOutcome expected = FullScanTweak(untweaked, partition, options);
+
+  Auc auc;
+  const AucTrainReport report = auc.Train(partition, options);
+  EXPECT_EQ(report.tweak_passes, expected.passes);
+  EXPECT_EQ(report.tweak_adjustments, expected.adjustments);
+  EXPECT_EQ(report.converged, expected.converged);
+  EXPECT_GT(expected.adjustments, 0u) << "the partition never needed a tweak";
+  for (classify::ClassId k = 0; k < expected.biases.size(); ++k) {
+    EXPECT_TRUE(SameBits(auc.linear().bias(k), expected.biases[k]))
+        << "set " << k << ": " << auc.linear().bias(k) << " vs " << expected.biases[k];
+  }
+  return auc;
+}
+
+Fixture MakeMovedLexicon50() {
+  Fixture f;
+  synth::LexiconOptions lex;
+  lex.num_classes = 50;
+  f.training = synth::ToTrainingSet(
+      synth::GenerateSet(synth::MakeExtensiveLexicon(lex), synth::NoiseModel{}, 8, 1991));
+  f.full.Train(f.training);
+  f.partition = LabelSubgestures(f.full, f.training);
+  MoveAccidentallyComplete(f.full, f.partition);
+  return f;
+}
+
+TEST(AucTweakPassTest, WorklistMatchesFullScanOnGdp) {
+  const Fixture f = MakeMoved(synth::MakeGdpSpecs());
+  ExpectTweakMatchesFullScan(f.partition, AucOptions{});
+}
+
+TEST(AucTweakPassTest, WorklistMatchesFullScanOnLexicon50) {
+  const Fixture f = MakeMovedLexicon50();
+  ExpectTweakMatchesFullScan(f.partition, AucOptions{});
+}
+
+// A subgesture with a NaN or infinite feature (dropped from the AUC's
+// training data as non-finite, but still walked by the tweak pass) makes a
+// NaN or infinite gap: its adjustment leaves a non-finite bias, complete
+// scores may then rise, and the guard must fall back to evaluating every
+// subgesture. Inserted mid-partition, so subgestures before it that pass 0
+// left alone can become tweak targets afterwards.
+TEST(AucTweakPassTest, NonFiniteGapFallsBackToFullScans) {
+  const Fixture f = MakeMoved(synth::MakeGdpSpecs());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t non_finite_models = 0;
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    SubgesturePartition partition = f.partition;
+    std::vector<LabeledSubgesture>* target = nullptr;
+    for (auto& set : partition.incomplete_sets) {
+      if (set.size() >= 2 && (target == nullptr || set.size() > target->size())) {
+        target = &set;
+      }
+    }
+    ASSERT_NE(target, nullptr);
+    LabeledSubgesture sub = target->front();
+    for (double& v : sub.features) {
+      v = 0.0;
+    }
+    sub.features[0] = poison;
+    target->insert(target->begin() + static_cast<std::ptrdiff_t>(target->size() / 2), sub);
+
+    AucOptions options;
+    options.max_tweak_passes = 6;
+    const Auc auc = ExpectTweakMatchesFullScan(partition, options);
+    for (classify::ClassId k = 0; k < auc.num_sets(); ++k) {
+      if (!std::isfinite(auc.linear().bias(k))) {
+        ++non_finite_models;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(non_finite_models, 0u) << "no poison reached the guard";
 }
 
 }  // namespace
