@@ -31,9 +31,10 @@
 #      the FULL tier-1 suite, and the hotpath bench gates run on both the
 #      SIMD and scalar-only builds (the scalar build records
 #      "speedup_gate": "skipped_no_simd")
-#   7. artifacts: every BENCH_*.json the gauntlet produced is copied to the
-#      repo root so the perf trajectory is trackable across PRs (the nosimd
-#      hotpath result lands as BENCH_hotpath_nosimd.json)
+#   7. artifacts: the full-size hotpath results from step 6b are copied to
+#      the repo root so the perf trajectory is trackable across PRs (the
+#      nosimd one lands as BENCH_hotpath_nosimd.json); the other BENCH_*.json
+#      in build/bench come from reduced-size ctest smokes and are left there
 # Usage: ci/check.sh [jobs]   (defaults to nproc)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -131,16 +132,18 @@ run ctest --preset nosimd
 run env -C build/bench ./hotpath_per_point
 run env -C build-nosimd/bench ./hotpath_per_point
 
-# 7. Artifact collection: surface every benchmark JSON the gauntlet wrote at
-#    the repo root so the numbers ride along with the PR. The nosimd hotpath
-#    result is renamed to keep both kernel configurations side by side.
+# 7. Artifact collection: surface the benchmark JSONs this script
+#    regenerates at full size — the hotpath pair from step 6b — at the repo
+#    root so the numbers ride along with the PR. The nosimd result is renamed
+#    to keep both kernel configurations side by side. The ctest smokes also
+#    write BENCH_*.json into build/bench, but from shortened runs (the touch
+#    soak on 84 groups instead of 168, the lexicon bench at --reps=5 instead
+#    of 60); copying them would overwrite the committed full-run artifacts
+#    with smoke numbers.
 echo
 echo "=== collecting BENCH_*.json artifacts ==="
-for f in build/bench/BENCH_*.json; do
-  [ -e "$f" ] && cp -v "$f" .
-done
-[ -e build-nosimd/bench/BENCH_hotpath.json ] &&
-  cp -v build-nosimd/bench/BENCH_hotpath.json BENCH_hotpath_nosimd.json
+cp -v build/bench/BENCH_hotpath.json .
+cp -v build-nosimd/bench/BENCH_hotpath.json BENCH_hotpath_nosimd.json
 
 echo
 echo "ci/check.sh: all gates passed"

@@ -55,18 +55,6 @@ BoundingBox ContactGroup::Bounds() const {
   return box;
 }
 
-ContactGroup ContactGroup::Sorted() const {
-  ContactGroup out = *this;
-  std::stable_sort(out.contacts_.begin(), out.contacts_.end(),
-                   [](const Contact& a, const Contact& b) {
-                     if (a.StartTime() != b.StartTime()) {
-                       return a.StartTime() < b.StartTime();
-                     }
-                     return a.id < b.id;
-                   });
-  return out;
-}
-
 std::string ContactGroup::ToString() const {
   std::ostringstream out;
   out << "ContactGroup(" << contacts_.size() << " contacts";

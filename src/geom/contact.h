@@ -64,10 +64,6 @@ class ContactGroup {
   // Bounding box over every contact's points.
   BoundingBox Bounds() const;
 
-  // A copy ordered by (start time, id). Attribute computation and the
-  // tracker's pairwise passes require this deterministic order.
-  ContactGroup Sorted() const;
-
   friend bool operator==(const ContactGroup&, const ContactGroup&) = default;
 
   std::string ToString() const;

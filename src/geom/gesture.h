@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -45,6 +46,8 @@ class Gesture {
 
   const std::vector<TimedPoint>& points() const { return points_; }
   std::span<const TimedPoint> span() const { return points_; }
+  // Moves the point buffer out of a gesture that is no longer needed.
+  std::vector<TimedPoint> TakePoints() && { return std::move(points_); }
 
   auto begin() const { return points_.begin(); }
   auto end() const { return points_.end(); }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -19,23 +21,6 @@ struct Slot {
   geom::Contact contact;
   bool repaired = false;
 };
-
-double MedianSampleInterval(const geom::Gesture& g, double fallback) {
-  std::vector<double> dts;
-  dts.reserve(g.size());
-  for (std::size_t i = 1; i < g.size(); ++i) {
-    const double dt = g[i].t - g[i - 1].t;
-    if (dt > 0.0) {
-      dts.push_back(dt);
-    }
-  }
-  if (dts.empty()) {
-    return fallback;
-  }
-  const std::size_t mid = dts.size() / 2;
-  std::nth_element(dts.begin(), dts.begin() + static_cast<std::ptrdiff_t>(mid), dts.end());
-  return dts[mid];
-}
 
 geom::TimedPoint StrokeCentroid(const geom::Gesture& g) {
   geom::TimedPoint c{};
@@ -128,18 +113,29 @@ StatusOr<TrackedGroup> ContactTracker::Track(const geom::ContactGroup& in,
                                      std::to_string(policy_.max_contacts)));
   }
 
-  const geom::ContactGroup sorted = in.Sorted();
+  // Each contact is copied once, into its slot, and the slots are ordered by
+  // (start time, id): the pairwise passes below and the attribute pass
+  // downstream require this deterministic order.
   std::vector<Slot> slots;
-  slots.reserve(sorted.size());
-  for (const geom::Contact& c : sorted.contacts()) {
+  slots.reserve(in.size());
+  for (const geom::Contact& c : in.contacts()) {
     slots.push_back(Slot{c, /*repaired=*/false});
   }
+  std::stable_sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    if (a.contact.StartTime() != b.contact.StartTime()) {
+      return a.contact.StartTime() < b.contact.StartTime();
+    }
+    return a.contact.id < b.contact.id;
+  });
 
   // Pass 1: debounce. A contact re-landing within the window (widened to a
   // few sample intervals for slow devices) and radius of another contact's
   // release is chatter: its points are stitched back onto the releasing
   // contact and the spurious slot disappears. Chained chatter stitches
   // repeatedly because the merged contact's release moves later each time.
+  // The window is never narrower than debounce_window_ms, so only a longer
+  // gap needs the median (a NaN gap is never "> window" either, so it falls
+  // through as before); concurrent contacts have negative gaps.
   bool merged = true;
   while (merged) {
     merged = false;
@@ -147,16 +143,24 @@ StatusOr<TrackedGroup> ContactTracker::Track(const geom::ContactGroup& in,
       if (slots[i].contact.stroke.empty()) {
         continue;
       }
-      const double window = std::max(
-          policy_.debounce_window_ms,
-          3.0 * MedianSampleInterval(slots[i].contact.stroke, policy_.debounce_window_ms));
+      std::optional<double> window;
       for (std::size_t j = 0; j < slots.size() && !merged; ++j) {
         if (j == i || slots[j].contact.stroke.empty()) {
           continue;
         }
         const double gap = slots[j].contact.StartTime() - slots[i].contact.EndTime();
-        if (gap < 0.0 || gap > window) {
+        if (gap < 0.0) {
           continue;
+        }
+        if (gap > policy_.debounce_window_ms) {
+          if (!window) {
+            window = std::max(policy_.debounce_window_ms,
+                              3.0 * MedianSampleInterval(slots[i].contact.stroke.span(),
+                                                         policy_.debounce_window_ms));
+          }
+          if (gap > *window) {
+            continue;
+          }
         }
         if (geom::Distance(slots[i].contact.stroke.back(), slots[j].contact.stroke.front()) >
             policy_.debounce_radius_px) {
@@ -298,9 +302,10 @@ StatusOr<TrackedGroup> ContactTracker::Track(const geom::ContactGroup& in,
   // no-repair stroke policy the validator's own rejection propagates.
   const StrokeValidator validator(policy_.stroke);
   TrackedGroup out;
+  out.group.contacts().reserve(slots.size());
   for (Slot& s : slots) {
     ValidationReport vreport;
-    auto validated = validator.Validate(s.contact.stroke, &vreport, stats);
+    auto validated = validator.Validate(std::move(s.contact.stroke), &vreport, stats);
     if (!validated.ok()) {
       if (!policy_.repair || !policy_.stroke.repair) {
         return reject(validated.status());

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -40,8 +42,24 @@ void CountStroke(FaultStats* stats, const ValidationReport& report, bool rejecte
 
 }  // namespace
 
-StatusOr<geom::Gesture> StrokeValidator::Validate(const geom::Gesture& g,
-                                                  ValidationReport* report,
+double MedianSampleInterval(std::span<const geom::TimedPoint> pts, double fallback) {
+  std::vector<double> dts;
+  dts.reserve(pts.size());
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    const double dt = pts[i].t - pts[i - 1].t;
+    if (dt > 0.0) {
+      dts.push_back(dt);
+    }
+  }
+  if (dts.empty()) {
+    return fallback;
+  }
+  const std::size_t mid = dts.size() / 2;
+  std::nth_element(dts.begin(), dts.begin() + static_cast<std::ptrdiff_t>(mid), dts.end());
+  return dts[mid];
+}
+
+StatusOr<geom::Gesture> StrokeValidator::Validate(geom::Gesture g, ValidationReport* report,
                                                   FaultStats* stats) const {
   ValidationReport local;
   ValidationReport& r = report != nullptr ? *report : local;
@@ -61,11 +79,13 @@ StatusOr<geom::Gesture> StrokeValidator::Validate(const geom::Gesture& g,
                                      " points, max is " + std::to_string(policy_.max_points)));
   }
 
+  // The passes repair the stroke's own buffer in place.
+  std::vector<geom::TimedPoint> pts = std::move(g).TakePoints();
+
   // Pass 1: drop non-finite and out-of-range points. Under the no-repair
   // policy any such point condemns the whole stroke.
-  std::vector<geom::TimedPoint> pts;
-  pts.reserve(g.size());
-  for (const geom::TimedPoint& p : g) {
+  std::size_t w = 0;
+  for (const geom::TimedPoint& p : pts) {
     if (!PointFinite(p)) {
       ++r.nonfinite_dropped;
       continue;
@@ -74,8 +94,9 @@ StatusOr<geom::Gesture> StrokeValidator::Validate(const geom::Gesture& g,
       ++r.out_of_range_dropped;
       continue;
     }
-    pts.push_back(p);
+    pts[w++] = p;
   }
+  pts.resize(w);
   if (!policy_.repair && (r.nonfinite_dropped > 0 || r.out_of_range_dropped > 0)) {
     return reject(Status::DataLoss("stroke contains non-finite or out-of-range points"));
   }
@@ -95,20 +116,18 @@ StatusOr<geom::Gesture> StrokeValidator::Validate(const geom::Gesture& g,
       ++anchor;  // no plausible successor: treat as a leading spike
       ++r.spikes_dropped;
     }
-    std::vector<geom::TimedPoint> kept;
-    kept.reserve(pts.size() - anchor);
+    w = 0;
     for (std::size_t i = anchor; i < pts.size(); ++i) {
-      if (!kept.empty() &&
-          geom::Distance(kept.back(), pts[i]) > policy_.max_segment_length) {
+      if (w > 0 && geom::Distance(pts[w - 1], pts[i]) > policy_.max_segment_length) {
         ++r.spikes_dropped;
         continue;
       }
-      kept.push_back(pts[i]);
+      pts[w++] = pts[i];
     }
     if (!policy_.repair && r.spikes_dropped > 0) {
       return reject(Status::DataLoss("stroke contains coordinate spikes"));
     }
-    pts = std::move(kept);
+    pts.resize(w);
   }
 
   // Pass 3: enforce strictly increasing timestamps with *plausible* implied
@@ -116,23 +135,10 @@ StatusOr<geom::Gesture> StrokeValidator::Validate(const geom::Gesture& g,
   // jitter-compressed intervals are re-timed to the previous timestamp plus
   // the stroke's median sample interval; the geometry is untouched. Re-timing
   // by a tiny epsilon instead would leave a physically impossible speed in
-  // the segment and poison the max-speed feature downstream.
-  double median_dt = policy_.timestamp_epsilon_ms;
-  {
-    std::vector<double> dts;
-    dts.reserve(pts.size());
-    for (std::size_t i = 1; i < pts.size(); ++i) {
-      const double dt = pts[i].t - pts[i - 1].t;
-      if (dt > 0.0) {
-        dts.push_back(dt);
-      }
-    }
-    if (!dts.empty()) {
-      const std::size_t mid = dts.size() / 2;
-      std::nth_element(dts.begin(), dts.begin() + static_cast<std::ptrdiff_t>(mid), dts.end());
-      median_dt = std::max(dts[mid], policy_.timestamp_epsilon_ms);
-    }
-  }
+  // the segment and poison the max-speed feature downstream. The median is
+  // taken at the first repair: no timestamp has changed before it, so it is
+  // the median of the stroke as passes 1-2 left it.
+  std::optional<double> median_dt;
   for (std::size_t i = 1; i < pts.size(); ++i) {
     const double dt = pts[i].t - pts[i - 1].t;
     bool implausible = dt <= 0.0;
@@ -143,9 +149,13 @@ StatusOr<geom::Gesture> StrokeValidator::Validate(const geom::Gesture& g,
       if (!policy_.repair) {
         return reject(Status::DataLoss("non-monotonic or implausibly fast timestamps"));
       }
+      if (!median_dt) {
+        median_dt = std::max(MedianSampleInterval(pts, policy_.timestamp_epsilon_ms),
+                             policy_.timestamp_epsilon_ms);
+      }
       // The repaired interval must itself be plausible, even when the stroke
       // carried no usable timing and median_dt fell back to epsilon.
-      double repair_dt = median_dt;
+      double repair_dt = *median_dt;
       if (policy_.max_speed_px_per_ms > 0.0) {
         repair_dt = std::max(repair_dt,
                              geom::Distance(pts[i - 1], pts[i]) / policy_.max_speed_px_per_ms);

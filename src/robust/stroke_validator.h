@@ -9,6 +9,7 @@
 #define GRANDMA_SRC_ROBUST_STROKE_VALIDATOR_H_
 
 #include <cstddef>
+#include <span>
 
 #include "geom/gesture.h"
 #include "robust/fault_stats.h"
@@ -66,6 +67,10 @@ struct ValidationReport {
   }
 };
 
+// Median of the positive intervals between consecutive samples, or
+// `fallback` when there are none (shared with the tracker's debounce window).
+double MedianSampleInterval(std::span<const geom::TimedPoint> pts, double fallback);
+
 class StrokeValidator {
  public:
   explicit StrokeValidator(ValidationPolicy policy = {}) : policy_(policy) {}
@@ -74,8 +79,9 @@ class StrokeValidator {
   // returned gesture has only finite in-range coordinates, strictly
   // increasing timestamps, no teleport spikes, and at least min_points
   // points. `report` (optional) receives the per-stroke account; `stats`
-  // (optional) accumulates across calls.
-  StatusOr<geom::Gesture> Validate(const geom::Gesture& g, ValidationReport* report = nullptr,
+  // (optional) accumulates across calls. The stroke is repaired in place:
+  // pass an rvalue to hand over its buffer, or an lvalue to keep a copy.
+  StatusOr<geom::Gesture> Validate(geom::Gesture g, ValidationReport* report = nullptr,
                                    FaultStats* stats = nullptr) const;
 
   const ValidationPolicy& policy() const { return policy_; }

@@ -57,13 +57,13 @@ robust::StatusOr<TouchSubmitResult> TouchFrontEnd::Submit(SessionId session, Use
   }
 
   if (single && server_ != nullptr) {
-    const geom::Gesture& primary = tracked->group[result.track.primary_index].stroke;
+    geom::Gesture& primary = tracked->group[result.track.primary_index].stroke;
     ServeEvent begin{session, EventType::kStrokeBegin, stroke, {}, options_.deadline_us};
     begin.user = user;
     if (auto s = server_->Submit(std::move(begin)); !s.ok()) {
       return s;
     }
-    ServeEvent points{session, EventType::kPoints, stroke, primary.points(),
+    ServeEvent points{session, EventType::kPoints, stroke, std::move(primary).TakePoints(),
                       options_.deadline_us};
     points.user = user;
     if (auto s = server_->Submit(std::move(points)); !s.ok()) {

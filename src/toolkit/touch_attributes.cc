@@ -11,19 +11,22 @@ namespace {
 
 // Position of a contact at time t: linear interpolation between the
 // surrounding samples, clamped to the endpoints. Callers only ask for times
-// within [StartTime, EndTime].
-geom::TimedPoint SampleAt(const geom::Gesture& g, double t) {
+// within [StartTime, EndTime], in increasing order. `next` is the contact's
+// cursor: it starts at 1, advances past samples earlier than t and never
+// passes size() - 1, so on a time-ordered stroke it stops where lower_bound
+// would, and on any stroke it stays in range.
+geom::TimedPoint SampleAt(const geom::Gesture& g, double t, std::size_t& next) {
   if (g.size() == 1 || t <= g.front().t) {
     return g.front();
   }
   if (t >= g.back().t) {
     return g.back();
   }
-  const auto& pts = g.points();
-  auto it = std::lower_bound(pts.begin(), pts.end(), t,
-                             [](const geom::TimedPoint& p, double v) { return p.t < v; });
-  const geom::TimedPoint& hi = *it;
-  const geom::TimedPoint& lo = *(it - 1);
+  while (next + 1 < g.size() && g[next].t < t) {
+    ++next;
+  }
+  const geom::TimedPoint& hi = g[next];
+  const geom::TimedPoint& lo = g[next - 1];
   const double dt = hi.t - lo.t;
   if (dt <= 0.0) {
     return hi;
@@ -86,15 +89,21 @@ TouchTrack ComputeTouchTrack(const geom::ContactGroup& group,
   }
   track.primary_index = PrimaryContactIndex(group);
 
-  // Frame timeline: every timestamp any contact reported, deduplicated.
+  // Frame timeline: every timestamp any contact reported, sorted and
+  // deduplicated. Each contact's run arrives time-ordered (the tracker's
+  // contract), so the runs are merged; a run is sorted only when it is not.
   std::vector<double> times;
   times.reserve(group.TotalPoints());
   for (const geom::Contact& c : group.contacts()) {
+    const auto run = static_cast<std::ptrdiff_t>(times.size());
     for (const geom::TimedPoint& p : c.stroke) {
       times.push_back(p.t);
     }
+    if (!std::is_sorted(times.begin() + run, times.end())) {
+      std::sort(times.begin() + run, times.end());
+    }
+    std::inplace_merge(times.begin(), times.begin() + run, times.end());
   }
-  std::sort(times.begin(), times.end());
   times.erase(std::unique(times.begin(), times.end()), times.end());
 
   // Baseline state, established at the first frame with >= 2 active
@@ -108,13 +117,15 @@ TouchTrack ComputeTouchTrack(const geom::ContactGroup& group,
   track.frames.reserve(times.size());
   std::vector<geom::TimedPoint> active;
   active.reserve(group.size());
+  std::vector<std::size_t> next(group.size(), 1);
   for (double t : times) {
     active.clear();
-    for (const geom::Contact& c : group.contacts()) {
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      const geom::Contact& c = group[k];
       if (c.stroke.empty() || t < c.StartTime() || t > c.EndTime()) {
         continue;
       }
-      active.push_back(SampleAt(c.stroke, t));
+      active.push_back(SampleAt(c.stroke, t, next[k]));
     }
     if (active.empty()) {
       continue;  // a gap between every contact's lifetime

@@ -11,6 +11,7 @@
 //
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -19,9 +20,12 @@
 #include "features/extractor.h"
 #include "obs/trace.h"
 #include "personalize/user_delta.h"
+#include "robust/fault_stats.h"
 #include "serve/bounded_queue.h"
 #include "serve/event.h"
 #include "serve/session.h"
+#include "serve/touch_frontend.h"
+#include "synth/contact_synth.h"
 #include "synth/generator.h"
 #include "synth/sets.h"
 
@@ -452,6 +456,69 @@ TEST(HotpathAllocTest, AddSpanIsBitIdenticalToAddPointPath) {
     // The fire path itself must be exercised, not only "never fired".
     EXPECT_GT(fired_strokes, 0u) << "dim=" << r->auc().linear().dimension();
   }
+}
+
+// The touch front end's per-group budget. One Submit is one whole gesture,
+// so it allocates per group, not per point: the tracker's slots, one copy
+// of each contact, the stable sort's buffer and the output group; the
+// attribute pass's timeline, frames, active set and cursors (plus one merge
+// buffer per extra contact). With a null server nothing is enqueued.
+TEST(HotpathAllocTest, TouchFrontEndSubmitStaysWithinAllocationBudget) {
+  const synth::NoiseModel noise;
+  std::vector<geom::ContactGroup> two_finger;
+  for (const synth::LabeledContactGroups& batch :
+       synth::GenerateContactSet(synth::MakeTouchSpecs(), noise, 3, 42)) {
+    two_finger.insert(two_finger.end(), batch.groups.begin(), batch.groups.end());
+  }
+  std::vector<geom::ContactGroup> one_contact;
+  for (const synth::LabeledSamples& batch :
+       synth::GenerateSet(synth::MakeGdpSpecs(), noise, 3, 43)) {
+    for (const synth::GestureSample& sample : batch.samples) {
+      one_contact.push_back(synth::AsContactGroup(sample.gesture));
+    }
+  }
+
+  serve::TouchFrontEnd front_end(/*server=*/nullptr);
+  // Warm-up: the first Submit of each shape pays any one-time costs.
+  ASSERT_TRUE(front_end.Submit(1, 0, 1, two_finger.front()).ok());
+  ASSERT_TRUE(front_end.Submit(1, 0, 2, one_contact.front()).ok());
+
+  auto max_allocs = [&](const std::vector<geom::ContactGroup>& groups) {
+    std::uint64_t worst = 0;
+    serve::StrokeId stroke = 10;
+    for (const geom::ContactGroup& g : groups) {
+      bool ok = false;
+      const std::uint64_t allocs =
+          CountAllocations([&] { ok = front_end.Submit(1, 0, stroke++, g).ok(); });
+      EXPECT_TRUE(ok) << g.ToString();
+      worst = std::max(worst, allocs);
+    }
+    return worst;
+  };
+  const std::uint64_t two_finger_allocs = max_allocs(two_finger);
+  const std::uint64_t one_contact_allocs = max_allocs(one_contact);
+  EXPECT_LE(two_finger_allocs, 10u) << "over " << two_finger.size() << " two-finger groups";
+  EXPECT_LE(one_contact_allocs, 8u) << "over " << one_contact.size() << " one-contact groups";
+  const serve::TouchFrontEndStats stats = front_end.Stats();
+  EXPECT_EQ(stats.groups_rejected, 0u);
+  EXPECT_EQ(stats.faults.groups_clean, stats.groups_in);
+}
+
+// The front end merges every group's counters into its running totals.
+TEST(HotpathAllocTest, FaultStatsMergeIsAllocationFree) {
+  robust::FaultStats total;
+  robust::FaultStats one;
+  one.groups_tracked = 1;
+  one.strokes_validated = 2;
+  one.events_skipped_quarantined = 3;
+  const std::uint64_t allocs = CountAllocations([&] {
+    for (int i = 0; i < 100; ++i) {
+      total.Merge(one);
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(total.groups_tracked, 100u);
+  EXPECT_EQ(total.events_skipped_quarantined, 300u);
 }
 
 // The counting harness itself must see ordinary allocations, or the zero
