@@ -299,10 +299,11 @@ HotSwapStats RunHotSwapTraffic(std::size_t per_class) {
     registry->Swap(models[s % models.size()]);
     const serve::SessionId session = 1000 + (s % 8);
     const auto stroke = static_cast<serve::StrokeId>(s);
-    (void)server.Submit({session, serve::EventType::kStrokeBegin, stroke, {}, {}});
+    (void)server.Submit({session, serve::EventType::kStrokeBegin, stroke});
     (void)server.Submit(
-        {session, serve::EventType::kPoints, stroke, strokes[s].gesture.points(), {}});
-    (void)server.Submit({session, serve::EventType::kStrokeEnd, stroke, {}, {}});
+        {.session = session, .type = serve::EventType::kPoints, .stroke = stroke,
+         .points = strokes[s].gesture.points()});
+    (void)server.Submit({session, serve::EventType::kStrokeEnd, stroke});
     while (ends_seen.load(std::memory_order_acquire) <= s) {
       std::this_thread::yield();
     }

@@ -306,9 +306,10 @@ ConcurrencyStats RunConcurrency(std::size_t strokes, std::size_t adapter_threads
     const serve::SessionId session = 100 + user;
     const serve::StrokeId stroke = static_cast<serve::StrokeId>(s);
     const auto& gesture = pool[s % pool.size()].gesture;
-    if (!server.Submit({session, serve::EventType::kStrokeBegin, stroke, {}, 0, {}, user}).ok() ||
-        !server.Submit({session, serve::EventType::kPoints, stroke, gesture.points(), 0, {}, user}).ok() ||
-        !server.Submit({session, serve::EventType::kStrokeEnd, stroke, {}, 0, {}, user}).ok()) {
+    if (!server.Submit({session, serve::EventType::kStrokeBegin, stroke, 0, {}, user}).ok() ||
+        !server.Submit({.session = session, .type = serve::EventType::kPoints, .stroke = stroke,
+                        .user = user, .points = gesture.points()}).ok() ||
+        !server.Submit({session, serve::EventType::kStrokeEnd, stroke, 0, {}, user}).ok()) {
       std::fprintf(stderr, "Submit failed at stroke %zu\n", s);
       break;
     }

@@ -123,12 +123,13 @@ RunResult RunLoad(const std::shared_ptr<const serve::RecognizerBundle>& bundle,
               (s * config.strokes_per_session + k) % pool.size();
           const auto& points = pool[stroke_index].points();
           const auto stroke_id = static_cast<serve::StrokeId>(k + 1);
-          (void)server.Submit({session, serve::EventType::kStrokeBegin, stroke_id, {}, {}});
+          (void)server.Submit({session, serve::EventType::kStrokeBegin, stroke_id});
           for (std::size_t i = 0; i < points.size(); i += config.batch) {
             const std::size_t end = std::min(points.size(), i + config.batch);
             std::vector<geom::TimedPoint> batch(points.begin() + i, points.begin() + end);
             (void)server.Submit(
-                {session, serve::EventType::kPoints, stroke_id, std::move(batch), {}});
+                {.session = session, .type = serve::EventType::kPoints, .stroke = stroke_id,
+                 .points = std::move(batch)});
             sent_points += end - i;
             if (producer_rate > 0.0) {
               const auto due = producer_start +
@@ -137,9 +138,9 @@ RunResult RunLoad(const std::shared_ptr<const serve::RecognizerBundle>& bundle,
               std::this_thread::sleep_until(due);
             }
           }
-          (void)server.Submit({session, serve::EventType::kStrokeEnd, stroke_id, {}, {}});
+          (void)server.Submit({session, serve::EventType::kStrokeEnd, stroke_id});
         }
-        (void)server.Submit({session, serve::EventType::kSessionEnd, 0, {}, {}});
+        (void)server.Submit({session, serve::EventType::kSessionEnd, 0});
       }
     });
   }
@@ -225,11 +226,12 @@ OverloadResult RunOverload(const std::shared_ptr<const serve::RecognizerBundle>&
         const serve::SessionId session = p * 10000 + k;
         const auto& points = pool[(p + k) % pool.size()].points();
         ++submitted;
-        (void)server.Submit({session, serve::EventType::kStrokeBegin, 1, {}, {}});
+        (void)server.Submit({session, serve::EventType::kStrokeBegin, 1});
         ++submitted;
-        (void)server.Submit({session, serve::EventType::kPoints, 1, points, {}});
+        (void)server.Submit({.session = session, .type = serve::EventType::kPoints, .stroke = 1,
+                             .points = points});
         ++submitted;
-        (void)server.Submit({session, serve::EventType::kStrokeEnd, 1, {}, {}});
+        (void)server.Submit({session, serve::EventType::kStrokeEnd, 1});
       }
     });
   }

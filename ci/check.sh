@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full pre-merge gauntlet, in the order a failure is cheapest to find:
 #   1. tier-1: default configure + build + the whole ctest suite
-#   2. hotpath: the zero-allocation gate and the legacy-vs-kernel speedup
-#      gate (label `hotpath`, runs in the tier-1 build tree)
+#   2. hotpath: the zero-allocation gates (per point, and per small event
+#      through a running server) and the legacy-vs-kernel speedup gate
+#      (label `hotpath`, runs in the tier-1 build tree)
 #   2b. chaos: crash-kill sweep over snapshot writes, corruption corpus,
 #      and hot-swap-under-traffic recovery gates (label `chaos`)
 #   2c. obs: tracing-layer gates — span well-formedness, trace-replay
@@ -22,8 +23,8 @@
 #      lexicon layers (labels `serve`, `obs`, `personalize`, `touch`,
 #      `lexicon`; the serve
 #      label includes the admission/deadline/retry and
-#      concurrent-metrics-snapshot tests alongside hot-swap) under
-#      ThreadSanitizer
+#      concurrent-metrics-snapshot tests alongside hot-swap, and the
+#      running server's allocation gate) under ThreadSanitizer
 #   5. notrace: GRANDMA_TRACING=OFF build — proves the instrumented tree
 #      still compiles with tracing compiled out, and the obs tests (which
 #      then assert that zero spans are ever recorded) still pass

@@ -155,6 +155,10 @@ class BoundedQueue {
 
   std::size_t capacity() const { return capacity_; }
 
+  // Bytes one ring slot occupies: the item plus its sequence word, rounded up
+  // to whole cache lines.
+  static constexpr std::size_t slot_bytes() { return sizeof(Slot); }
+
  private:
   enum class PushResult : std::uint8_t { kOk, kFull, kClosed };
 

@@ -7,10 +7,19 @@
 #ifndef GRANDMA_SRC_SERVE_EVENT_H_
 #define GRANDMA_SRC_SERVE_EVENT_H_
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <iterator>
+#include <new>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "classify/linear_classifier.h"
@@ -55,13 +64,132 @@ inline const char* EventTypeName(EventType t) {
   return "UNKNOWN";
 }
 
+// The points of one kPoints event. Up to kInlinePoints live inside the
+// buffer, and so inside the queue slot that carries the event: a mouse-move
+// event allocates nothing on the submitting thread and frees nothing on the
+// shard worker. A larger batch lives in a std::vector, which the buffer adopts
+// when one is moved in (no copy) and allocates otherwise. The capacity is
+// what fits beside the rest of ServeEvent in a 128-byte ring slot (see the
+// static_assert in server.h); a third inline point would grow every slot to
+// 192 bytes.
+class PointBuffer {
+ public:
+  static constexpr std::size_t kInlinePoints = 2;
+
+  using const_iterator = const geom::TimedPoint*;
+
+  // User-provided so that even a value-initialized buffer leaves the inline
+  // storage unwritten: every event is constructed, most carry no points.
+  PointBuffer() {}  // NOLINT(modernize-use-equals-default)
+  PointBuffer(std::initializer_list<geom::TimedPoint> points) {
+    assign(points.begin(), points.end());
+  }
+  // Implicit, like the std::vector member this type replaced, so events
+  // still aggregate-initialize from a gesture's points.
+  PointBuffer(const std::vector<geom::TimedPoint>& points) {  // NOLINT(google-explicit-constructor)
+    assign(points.begin(), points.end());
+  }
+  // Adopts `points` when it does not fit inline; copies it inline otherwise.
+  PointBuffer(std::vector<geom::TimedPoint>&& points) {  // NOLINT(google-explicit-constructor)
+    if (points.size() <= kInlinePoints) {
+      assign(points.begin(), points.end());
+    } else {
+      size_ = points.size();
+      spill_ = std::move(points);
+    }
+  }
+  PointBuffer(const PointBuffer& other) { assign(other.begin(), other.end()); }
+  // Leaves `other` empty.
+  PointBuffer(PointBuffer&& other) noexcept : size_(std::exchange(other.size_, 0)) {
+    TakeStorageFrom(other);
+  }
+
+  PointBuffer& operator=(const PointBuffer& other) {
+    if (this != &other) {
+      assign(other.begin(), other.end());
+    }
+    return *this;
+  }
+  PointBuffer& operator=(PointBuffer&& other) noexcept {
+    if (this != &other) {
+      size_ = std::exchange(other.size_, 0);
+      TakeStorageFrom(other);
+    }
+    return *this;
+  }
+
+  // [first, last) must not point into this buffer.
+  template <std::forward_iterator It>
+  void assign(It first, It last) {
+    const auto n = static_cast<std::size_t>(std::distance(first, last));
+    if (n <= kInlinePoints) {
+      std::copy(first, last, InlinePoints());
+    } else {
+      spill_.assign(first, last);
+    }
+    size_ = n;
+  }
+
+  // Moves the points out as a vector (the adopted one when spilled) and
+  // leaves the buffer empty.
+  std::vector<geom::TimedPoint> TakeVector() && {
+    std::vector<geom::TimedPoint> out =
+        spilled() ? std::move(spill_) : std::vector<geom::TimedPoint>(begin(), end());
+    size_ = 0;
+    return out;
+  }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const geom::TimedPoint* data() const { return spilled() ? spill_.data() : InlinePoints(); }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size_; }
+  std::span<const geom::TimedPoint> span() const { return {data(), size_}; }
+
+ private:
+  bool spilled() const { return size_ > kInlinePoints; }
+
+  // TimedPoint is an implicit-lifetime type, so the byte array's lifetime
+  // provides the points std::launder names.
+  static_assert(std::is_trivially_copyable_v<geom::TimedPoint>);
+  geom::TimedPoint* InlinePoints() {
+    return std::launder(reinterpret_cast<geom::TimedPoint*>(inline_));
+  }
+  const geom::TimedPoint* InlinePoints() const {
+    return std::launder(reinterpret_cast<const geom::TimedPoint*>(inline_));
+  }
+
+  // Moves the points' storage out of `other`; size_ already holds their
+  // count. Only what holds live points is touched, so moving an empty buffer
+  // reads and writes nothing past size_.
+  void TakeStorageFrom(PointBuffer& other) {
+    if (spilled()) {
+      spill_ = std::move(other.spill_);
+    } else {
+      std::memcpy(inline_, other.inline_, size_ * sizeof(geom::TimedPoint));
+    }
+  }
+
+  std::size_t size_ = 0;
+  // Holds the points when size_ > kInlinePoints; unused (possibly stale)
+  // otherwise.
+  std::vector<geom::TimedPoint> spill_;
+  // Raw bytes rather than TimedPoints (whose members default to zero): no
+  // construction writes them, and a move copies only the live points.
+  alignas(geom::TimedPoint) std::byte inline_[kInlinePoints * sizeof(geom::TimedPoint)];
+};
+
 // One queued unit of work. `enqueue_time` is stamped by the server at Submit
 // so the worker can account the enqueue->recognize latency.
+//
+// Field order is layout: with `points` last, the other fields and the
+// buffer's size word share the ring slot's first cache line with its
+// sequence word, so an event without points moves between threads in one
+// line.
 struct ServeEvent {
   SessionId session = 0;
   EventType type = EventType::kPoints;
   StrokeId stroke = 0;
-  std::vector<geom::TimedPoint> points;  // kPoints only
   // Deadline budget in microseconds measured from Submit; 0 means no
   // deadline. An event still queued when its budget expires is dropped by
   // the worker before classification (kDeadlineExceeded, counted in
@@ -70,9 +198,9 @@ struct ServeEvent {
   std::uint32_t deadline_us = 0;
   std::chrono::steady_clock::time_point enqueue_time{};
   // Owner of the stroke, for per-user model resolution at stroke boundaries
-  // (0 = anonymous, base model). Deliberately last so existing positional
-  // aggregate initializers stay valid.
+  // (0 = anonymous, base model).
   UserId user = 0;
+  PointBuffer points{};  // kPoints only
 };
 
 enum class ResultKind : std::uint8_t {

@@ -27,6 +27,15 @@ std::uint64_t MixSessionId(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Adds after - before to a shard counter (its single writer), skipping the
+// atomic when nothing changed.
+void PublishDelta(std::atomic<std::uint64_t>& counter, std::uint64_t before,
+                  std::uint64_t after) {
+  if (after != before) {
+    counter.fetch_add(after - before, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 RecognitionServer::RecognitionServer(std::shared_ptr<const RecognizerBundle> bundle,
@@ -201,7 +210,7 @@ void RecognitionServer::WorkerLoop(Shard& shard) {
             session.BeginStroke(event->stroke, sink, registry_->CurrentFor(event->user));
             break;
           case EventType::kPoints:
-            session.AddPoints(event->stroke, event->points, sink,
+            session.AddPoints(event->stroke, event->points.span(), sink,
                               session.in_stroke() ? nullptr
                                                   : registry_->CurrentFor(event->user));
             shard.points_processed.fetch_add(event->points.size(), std::memory_order_relaxed);
@@ -213,15 +222,13 @@ void RecognitionServer::WorkerLoop(Shard& shard) {
             break;  // handled above
         }
 
+        // Most events move none of these, so an unchanged counter costs no
+        // atomic read-modify-write.
         const SessionStats& after = session.stats();
-        shard.strokes_completed.fetch_add(after.strokes_completed - before.strokes_completed,
-                                          std::memory_order_relaxed);
-        shard.eager_fires.fetch_add(after.eager_fires - before.eager_fires,
-                                    std::memory_order_relaxed);
-        shard.nbest_deferred.fetch_add(after.nbest_deferred - before.nbest_deferred,
-                                       std::memory_order_relaxed);
-        shard.nbest_ask_again.fetch_add(after.nbest_ask_again - before.nbest_ask_again,
-                                        std::memory_order_relaxed);
+        PublishDelta(shard.strokes_completed, before.strokes_completed, after.strokes_completed);
+        PublishDelta(shard.eager_fires, before.eager_fires, after.eager_fires);
+        PublishDelta(shard.nbest_deferred, before.nbest_deferred, after.nbest_deferred);
+        PublishDelta(shard.nbest_ask_again, before.nbest_ask_again, after.nbest_ask_again);
       }
       shard.events_processed.fetch_add(1, std::memory_order_relaxed);
       shard.sessions_created.store(sessions.created(), std::memory_order_relaxed);

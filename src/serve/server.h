@@ -52,6 +52,12 @@ enum class OverloadPolicy : std::uint8_t {
   kAdaptive,
 };
 
+// Each queued event costs one ring slot: the 8-byte sequence word plus the
+// event, in 64-byte lines. PointBuffer::kInlinePoints is sized to fill the
+// two lines exactly, so a new ServeEvent field must make room rather than
+// silently double the ring.
+static_assert(BoundedQueue<ServeEvent>::slot_bytes() == 128);
+
 // Invoked on the worker thread for every accepted event the worker drops
 // instead of processing (today: deadline expiry, status kDeadlineExceeded).
 // Same thread-safety contract as ResultSink; exceptions are swallowed and

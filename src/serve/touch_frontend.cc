@@ -58,19 +58,18 @@ robust::StatusOr<TouchSubmitResult> TouchFrontEnd::Submit(SessionId session, Use
 
   if (single && server_ != nullptr) {
     geom::Gesture& primary = tracked->group[result.track.primary_index].stroke;
-    ServeEvent begin{session, EventType::kStrokeBegin, stroke, {}, options_.deadline_us};
-    begin.user = user;
+    ServeEvent begin{session, EventType::kStrokeBegin, stroke, options_.deadline_us, {}, user};
     if (auto s = server_->Submit(std::move(begin)); !s.ok()) {
       return s;
     }
-    ServeEvent points{session, EventType::kPoints, stroke, std::move(primary).TakePoints(),
-                      options_.deadline_us};
-    points.user = user;
+    // The stroke's vector is adopted, not copied.
+    ServeEvent points{.session = session, .type = EventType::kPoints, .stroke = stroke,
+                      .deadline_us = options_.deadline_us, .user = user,
+                      .points = std::move(primary).TakePoints()};
     if (auto s = server_->Submit(std::move(points)); !s.ok()) {
       return s;
     }
-    ServeEvent end{session, EventType::kStrokeEnd, stroke, {}, options_.deadline_us};
-    end.user = user;
+    ServeEvent end{session, EventType::kStrokeEnd, stroke, options_.deadline_us, {}, user};
     if (auto s = server_->Submit(std::move(end)); !s.ok()) {
       return s;
     }

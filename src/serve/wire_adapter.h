@@ -21,8 +21,8 @@ static_assert(static_cast<std::uint8_t>(io::WireEventType::kStrokeEnd) ==
 static_assert(static_cast<std::uint8_t>(io::WireEventType::kSessionEnd) ==
               static_cast<std::uint8_t>(EventType::kSessionEnd));
 
-// Consumes the wire event (moves its points). enqueue_time is left for
-// Submit to stamp.
+// Consumes the wire event: its points vector is adopted when it does not fit
+// inline. enqueue_time is left for Submit to stamp.
 inline ServeEvent ToServeEvent(io::WireEvent wire) {
   ServeEvent event;
   event.session = wire.session;
@@ -33,13 +33,14 @@ inline ServeEvent ToServeEvent(io::WireEvent wire) {
   return event;
 }
 
+// Consumes the event: a spilled points vector moves back out uncopied.
 inline io::WireEvent ToWireEvent(ServeEvent event) {
   io::WireEvent wire;
   wire.session = event.session;
   wire.type = static_cast<io::WireEventType>(event.type);
   wire.stroke = event.stroke;
   wire.deadline_us = event.deadline_us;
-  wire.points = std::move(event.points);
+  wire.points = std::move(event.points).TakeVector();
   return wire;
 }
 

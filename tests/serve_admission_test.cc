@@ -176,11 +176,12 @@ TEST(DeadlineTest, ExpiredEventsAreDroppedTypedAndBalanced) {
 
   const auto points = UdStroke().points();
   // 1 us budgets cannot survive the deliberate 20 ms park below.
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1, {}, 1, {}}).ok());
-  ASSERT_TRUE(server.Submit({1, EventType::kPoints, 1, points, 1, {}}).ok());
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeEnd, 1, {}, 1, {}}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1, /*deadline_us=*/1}).ok());
+  ASSERT_TRUE(server.Submit({.session = 1, .type = EventType::kPoints, .stroke = 1,
+                             .deadline_us = 1, .points = points}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeEnd, 1, /*deadline_us=*/1}).ok());
   // kSessionEnd is exempt from expiry — it frees state.
-  ASSERT_TRUE(server.Submit({1, EventType::kSessionEnd, 0, {}, 1, {}}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kSessionEnd, 0, /*deadline_us=*/1}).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   server.Start();
   server.Shutdown();
@@ -214,12 +215,14 @@ TEST(DeadlineTest, ZeroAndGenerousDeadlinesProcessNormally) {
 
   const auto points = UdStroke().points();
   constexpr std::uint32_t kGenerousUs = 60'000'000;
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1, {}, 0, {}}).ok());
-  ASSERT_TRUE(server.Submit({1, EventType::kPoints, 1, points, 0, {}}).ok());
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeEnd, 1, {}, 0, {}}).ok());
-  ASSERT_TRUE(server.Submit({2, EventType::kStrokeBegin, 1, {}, kGenerousUs, {}}).ok());
-  ASSERT_TRUE(server.Submit({2, EventType::kPoints, 1, points, kGenerousUs, {}}).ok());
-  ASSERT_TRUE(server.Submit({2, EventType::kStrokeEnd, 1, {}, kGenerousUs, {}}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1}).ok());
+  ASSERT_TRUE(server.Submit({.session = 1, .type = EventType::kPoints, .stroke = 1,
+                             .points = points}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeEnd, 1}).ok());
+  ASSERT_TRUE(server.Submit({2, EventType::kStrokeBegin, 1, /*deadline_us=*/kGenerousUs}).ok());
+  ASSERT_TRUE(server.Submit({.session = 2, .type = EventType::kPoints, .stroke = 1,
+                             .deadline_us = kGenerousUs, .points = points}).ok());
+  ASSERT_TRUE(server.Submit({2, EventType::kStrokeEnd, 1, /*deadline_us=*/kGenerousUs}).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   server.Start();
   server.Shutdown();
@@ -243,9 +246,10 @@ TEST(AdaptivePolicyTest, BehavesLikeBlockUntilTheControllerTrips) {
 
   const auto points = UdStroke().points();
   for (SessionId s = 0; s < 8; ++s) {
-    ASSERT_TRUE(server.Submit({s, EventType::kStrokeBegin, 1, {}, 0, {}}).ok());
-    ASSERT_TRUE(server.Submit({s, EventType::kPoints, 1, points, 0, {}}).ok());
-    ASSERT_TRUE(server.Submit({s, EventType::kStrokeEnd, 1, {}, 0, {}}).ok());
+    ASSERT_TRUE(server.Submit({s, EventType::kStrokeBegin, 1}).ok());
+    ASSERT_TRUE(server.Submit({.session = s, .type = EventType::kPoints, .stroke = 1,
+                               .points = points}).ok());
+    ASSERT_TRUE(server.Submit({s, EventType::kStrokeEnd, 1}).ok());
   }
   server.Start();
   server.Shutdown();
@@ -273,7 +277,7 @@ TEST(AdaptivePolicyTest, SustainedQueueWaitFlipsShardToShed) {
   // high watermark, so the first evaluation (after 4 events) must flip the
   // shard to shedding.
   for (SessionId s = 0; s < 8; ++s) {
-    ASSERT_TRUE(server.Submit({s, EventType::kStrokeBegin, 1, {}, 0, {}}).ok());
+    ASSERT_TRUE(server.Submit({s, EventType::kStrokeBegin, 1}).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   server.Start();
@@ -294,14 +298,14 @@ TEST(RetryTest, GivesUpAfterMaxAttemptsAgainstAFullQueue) {
   options.overload = OverloadPolicy::kShed;
   options.start_workers = false;  // nobody drains: every retry sheds
   RecognitionServer server(UdBundle(), options, [](const RecognitionResult&) {});
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1, {}, 0, {}}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1}).ok());
 
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.initial_backoff = std::chrono::microseconds(100);
   RetryStats stats;
   const robust::Status status =
-      SubmitWithRetry(server, {2, EventType::kStrokeBegin, 1, {}, 0, {}}, policy, &stats);
+      SubmitWithRetry(server, {2, EventType::kStrokeBegin, 1}, policy, &stats);
 
   EXPECT_EQ(status.code(), robust::StatusCode::kOverloaded);
   EXPECT_EQ(stats.submitted, 1u);
@@ -325,7 +329,7 @@ TEST(RetryTest, AcceptsImmediatelyWhenThereIsRoom) {
 
   RetryStats stats;
   const robust::Status status = SubmitWithRetry(
-      server, {1, EventType::kStrokeBegin, 1, {}, 0, {}}, RetryPolicy{}, &stats);
+      server, {1, EventType::kStrokeBegin, 1}, RetryPolicy{}, &stats);
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(stats.attempts, 1u);
   EXPECT_EQ(stats.retries, 0u);
@@ -344,7 +348,7 @@ TEST(RetryTest, NonOverloadErrorsAreNotRetried) {
   RetryStats stats;
   // kPoints with no points is kInvalidArgument — retrying cannot help.
   const robust::Status status =
-      SubmitWithRetry(server, {1, EventType::kPoints, 1, {}, 0, {}}, RetryPolicy{}, &stats);
+      SubmitWithRetry(server, {1, EventType::kPoints, 1}, RetryPolicy{}, &stats);
   EXPECT_EQ(status.code(), robust::StatusCode::kInvalidArgument);
   EXPECT_EQ(stats.attempts, 1u);
   EXPECT_EQ(stats.dropped, 0u);
@@ -358,7 +362,7 @@ TEST(RetryTest, SucceedsOnceTheQueueDrains) {
   options.overload = OverloadPolicy::kShed;
   options.start_workers = false;
   RecognitionServer server(UdBundle(), options, [](const RecognitionResult&) {});
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1, {}, 0, {}}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1}).ok());
 
   // Free the queue from another thread while the client backs off.
   std::thread drainer([&] {
@@ -371,7 +375,7 @@ TEST(RetryTest, SucceedsOnceTheQueueDrains) {
   policy.max_backoff = std::chrono::microseconds(2'000);
   RetryStats stats;
   const robust::Status status =
-      SubmitWithRetry(server, {1, EventType::kStrokeEnd, 1, {}, 0, {}}, policy, &stats);
+      SubmitWithRetry(server, {1, EventType::kStrokeEnd, 1}, policy, &stats);
   drainer.join();
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(stats.accepted, 1u);

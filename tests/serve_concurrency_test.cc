@@ -88,7 +88,7 @@ TEST(ServeConcurrencyTest, ManySessionsManyThreadsMatchReference) {
       for (SessionId s = p; s < kSessions; s += kProducers) {
         owned.push_back(s);
         cursor.push_back(0);
-        ASSERT_TRUE(server.Submit({s, EventType::kStrokeBegin, 1, {}, {}}).ok());
+        ASSERT_TRUE(server.Submit({s, EventType::kStrokeBegin, 1}).ok());
       }
       bool progress = true;
       while (progress) {
@@ -102,13 +102,14 @@ TEST(ServeConcurrencyTest, ManySessionsManyThreadsMatchReference) {
           std::vector<geom::TimedPoint> batch(points.begin() + cursor[i],
                                               points.begin() + end);
           ASSERT_TRUE(
-              server.Submit({owned[i], EventType::kPoints, 1, std::move(batch), {}}).ok());
+              server.Submit({.session = owned[i], .type = EventType::kPoints, .stroke = 1,
+                             .points = std::move(batch)}).ok());
           cursor[i] = end;
           progress = true;
         }
       }
       for (SessionId s : owned) {
-        ASSERT_TRUE(server.Submit({s, EventType::kStrokeEnd, 1, {}, {}}).ok());
+        ASSERT_TRUE(server.Submit({s, EventType::kStrokeEnd, 1}).ok());
       }
     });
   }
@@ -169,9 +170,10 @@ TEST(ServeConcurrencyTest, ShedUnderOverloadKeepsAccountingBalanced) {
             ASSERT_TRUE(status.ok());
           }
         };
-        count_submit({session, EventType::kStrokeBegin, 1, {}, {}});
-        count_submit({session, EventType::kPoints, 1, gesture.points(), {}});
-        count_submit({session, EventType::kStrokeEnd, 1, {}, {}});
+        count_submit({session, EventType::kStrokeBegin, 1});
+        count_submit({.session = session, .type = EventType::kPoints, .stroke = 1,
+                      .points = gesture.points()});
+        count_submit({session, EventType::kStrokeEnd, 1});
       }
     });
   }
@@ -200,9 +202,10 @@ TEST(ServeConcurrencyTest, CallbackExceptionsAreContained) {
   auto strokes = synth::GenerateSet(synth::MakeEightDirectionSpecs(), synth::NoiseModel{},
                                     /*per_class=*/1, /*seed=*/3);
   const auto& gesture = strokes.front().samples.front().gesture;
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1, {}, {}}).ok());
-  ASSERT_TRUE(server.Submit({1, EventType::kPoints, 1, gesture.points(), {}}).ok());
-  ASSERT_TRUE(server.Submit({1, EventType::kStrokeEnd, 1, {}, {}}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeBegin, 1}).ok());
+  ASSERT_TRUE(server.Submit({.session = 1, .type = EventType::kPoints, .stroke = 1,
+                             .points = gesture.points()}).ok());
+  ASSERT_TRUE(server.Submit({1, EventType::kStrokeEnd, 1}).ok());
   server.Shutdown();
   const ShardMetrics totals = server.Metrics().Totals();
   EXPECT_GT(totals.callback_errors, 0u);

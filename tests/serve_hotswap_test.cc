@@ -217,12 +217,12 @@ TEST(HotSwapUnderTrafficTest, NoDivergenceAcrossTwentySwaps) {
     const SessionId session = 1000 + (s % 8);
     const StrokeId stroke = static_cast<StrokeId>(s);
     ASSERT_TRUE(
-        server.Submit({session, EventType::kStrokeBegin, stroke, {}, {}}).ok());
+        server.Submit({session, EventType::kStrokeBegin, stroke}).ok());
     ASSERT_TRUE(server
-                    .Submit({session, EventType::kPoints, stroke,
-                             strokes[s].gesture.points(), {}})
+                    .Submit({.session = session, .type = EventType::kPoints, .stroke = stroke,
+                             .points = strokes[s].gesture.points()})
                     .ok());
-    ASSERT_TRUE(server.Submit({session, EventType::kStrokeEnd, stroke, {}, {}}).ok());
+    ASSERT_TRUE(server.Submit({session, EventType::kStrokeEnd, stroke}).ok());
     while (ends_seen.load(std::memory_order_acquire) <= s) {
       std::this_thread::yield();
     }

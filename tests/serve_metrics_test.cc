@@ -82,11 +82,12 @@ TEST(ServerMetricsTest, ToJsonStaysCoherentUnderConcurrentWriters) {
       std::size_t g = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         ++session;
-        (void)server.Submit({session, EventType::kStrokeBegin, 1, {}, 0, {}});
+        (void)server.Submit({session, EventType::kStrokeBegin, 1});
         (void)server.Submit(
-            {session, EventType::kPoints, 1, gestures[g % gestures.size()].points(), 0, {}});
-        (void)server.Submit({session, EventType::kStrokeEnd, 1, {}, 0, {}});
-        (void)server.Submit({session, EventType::kSessionEnd, 0, {}, 0, {}});
+            {.session = session, .type = EventType::kPoints, .stroke = 1,
+             .points = gestures[g % gestures.size()].points()});
+        (void)server.Submit({session, EventType::kStrokeEnd, 1});
+        (void)server.Submit({session, EventType::kSessionEnd, 0});
         ++g;
       }
     });

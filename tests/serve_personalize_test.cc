@@ -173,13 +173,13 @@ TEST(ServerPersonalizationTest, StrokesPinTheSubmittingUsersModel) {
     const UserId user = (s % 2 == 0) ? 7 : 8;
     const SessionId session = 100 + s;
     ASSERT_TRUE(
-        server.Submit({session, EventType::kStrokeBegin, s, {}, 0, {}, user}).ok());
+        server.Submit({session, EventType::kStrokeBegin, s, 0, {}, user}).ok());
     ASSERT_TRUE(server
-                    .Submit({session, EventType::kPoints, s, gesture.points(), 0,
-                             {}, user})
+                    .Submit({.session = session, .type = EventType::kPoints, .stroke = s,
+                             .user = user, .points = gesture.points()})
                     .ok());
     ASSERT_TRUE(
-        server.Submit({session, EventType::kStrokeEnd, s, {}, 0, {}, user}).ok());
+        server.Submit({session, EventType::kStrokeEnd, s, 0, {}, user}).ok());
     while (ends_seen.load(std::memory_order_acquire) <= s) {
       std::this_thread::yield();
     }
@@ -368,13 +368,13 @@ TEST(ServerPersonalizationTest, ConcurrentAdaptAndServeIsRaceFree) {
     const StrokeId stroke = static_cast<StrokeId>(s);
     const auto& gesture = batches[s % batches.size()].samples[s % 4].gesture;
     ASSERT_TRUE(
-        server.Submit({session, EventType::kStrokeBegin, stroke, {}, 0, {}, user}).ok());
+        server.Submit({session, EventType::kStrokeBegin, stroke, 0, {}, user}).ok());
     ASSERT_TRUE(server
-                    .Submit({session, EventType::kPoints, stroke, gesture.points(),
-                             0, {}, user})
+                    .Submit({.session = session, .type = EventType::kPoints, .stroke = stroke,
+                             .user = user, .points = gesture.points()})
                     .ok());
     ASSERT_TRUE(
-        server.Submit({session, EventType::kStrokeEnd, stroke, {}, 0, {}, user}).ok());
+        server.Submit({session, EventType::kStrokeEnd, stroke, 0, {}, user}).ok());
   }
   while (ends_seen.load(std::memory_order_relaxed) < kStrokes) {
     std::this_thread::yield();

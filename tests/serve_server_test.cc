@@ -116,13 +116,14 @@ TEST(ServerTest, SessionLifecycleProducesOrderedResults) {
   ASSERT_GE(strokes.size(), 2u);
   for (std::size_t s = 0; s < 2; ++s) {
     const SessionId session = 100 + s;
-    ServeEvent begin{session, EventType::kStrokeBegin, /*stroke=*/1, {}, {}};
+    ServeEvent begin{session, EventType::kStrokeBegin, /*stroke=*/1};
     ASSERT_TRUE(server.Submit(std::move(begin)).ok());
-    ServeEvent points{session, EventType::kPoints, 1, strokes[s].gesture.points(), {}};
+    ServeEvent points{.session = session, .type = EventType::kPoints, .stroke = 1,
+                      .points = strokes[s].gesture.points()};
     ASSERT_TRUE(server.Submit(std::move(points)).ok());
-    ServeEvent end{session, EventType::kStrokeEnd, 1, {}, {}};
+    ServeEvent end{session, EventType::kStrokeEnd, 1};
     ASSERT_TRUE(server.Submit(std::move(end)).ok());
-    ServeEvent bye{session, EventType::kSessionEnd, 0, {}, {}};
+    ServeEvent bye{session, EventType::kSessionEnd, 0};
     ASSERT_TRUE(server.Submit(std::move(bye)).ok());
   }
   server.Shutdown();
@@ -150,10 +151,11 @@ TEST(ServerTest, SessionLifecycleProducesOrderedResults) {
 
 TEST(ServerTest, SubmitValidation) {
   RecognitionServer server(UdBundle(), {}, {});
-  ServeEvent empty_points{1, EventType::kPoints, 1, {}, {}};
+  ServeEvent empty_points{1, EventType::kPoints, 1};
   EXPECT_EQ(server.Submit(std::move(empty_points)).code(),
             robust::StatusCode::kInvalidArgument);
-  ServeEvent end_with_points{1, EventType::kStrokeEnd, 1, {{0, 0, 0}}, {}};
+  ServeEvent end_with_points{.session = 1, .type = EventType::kStrokeEnd, .stroke = 1,
+                             .points = {{0, 0, 0}}};
   EXPECT_EQ(server.Submit(std::move(end_with_points)).code(),
             robust::StatusCode::kInvalidArgument);
 }
@@ -169,15 +171,16 @@ TEST(ServerTest, ShedPathRejectsWithOverloadedAndCounts) {
   RecognitionServer server(UdBundle(), options, collector.Sink());
 
   const auto strokes = TestStrokes(1, 11);
-  ServeEvent begin{5, EventType::kStrokeBegin, 1, {}, {}};
+  ServeEvent begin{5, EventType::kStrokeBegin, 1};
   ASSERT_TRUE(server.Submit(std::move(begin)).ok());
-  ServeEvent points{5, EventType::kPoints, 1, strokes[0].gesture.points(), {}};
+  ServeEvent points{.session = 5, .type = EventType::kPoints, .stroke = 1,
+                    .points = strokes[0].gesture.points()};
   ASSERT_TRUE(server.Submit(std::move(points)).ok());
-  ServeEvent end{5, EventType::kStrokeEnd, 1, {}, {}};
+  ServeEvent end{5, EventType::kStrokeEnd, 1};
   ASSERT_TRUE(server.Submit(std::move(end)).ok());
 
   // Queue full (capacity 3): the fourth event sheds.
-  ServeEvent shed{5, EventType::kStrokeBegin, 2, {}, {}};
+  ServeEvent shed{5, EventType::kStrokeBegin, 2};
   const robust::Status status = server.Submit(std::move(shed));
   EXPECT_EQ(status.code(), robust::StatusCode::kOverloaded);
   EXPECT_EQ(server.Metrics().Totals().events_shed, 1u);
@@ -195,7 +198,7 @@ TEST(ServerTest, ShedPathRejectsWithOverloadedAndCounts) {
 TEST(ServerTest, SubmitAfterShutdownFails) {
   RecognitionServer server(UdBundle(), {}, {});
   server.Shutdown();
-  ServeEvent begin{1, EventType::kStrokeBegin, 1, {}, {}};
+  ServeEvent begin{1, EventType::kStrokeBegin, 1};
   EXPECT_EQ(server.Submit(std::move(begin)).code(),
             robust::StatusCode::kFailedPrecondition);
   server.Shutdown();  // idempotent
@@ -213,10 +216,11 @@ TEST(ServerTest, DeterministicAtOneThreadVsReference) {
 
   for (std::size_t i = 0; i < strokes.size(); ++i) {
     const SessionId session = 1000 + i;  // one stroke per session
-    ASSERT_TRUE(server.Submit({session, EventType::kStrokeBegin, 1, {}, {}}).ok());
+    ASSERT_TRUE(server.Submit({session, EventType::kStrokeBegin, 1}).ok());
     ASSERT_TRUE(
-        server.Submit({session, EventType::kPoints, 1, strokes[i].gesture.points(), {}}).ok());
-    ASSERT_TRUE(server.Submit({session, EventType::kStrokeEnd, 1, {}, {}}).ok());
+        server.Submit({.session = session, .type = EventType::kPoints, .stroke = 1,
+                       .points = strokes[i].gesture.points()}).ok());
+    ASSERT_TRUE(server.Submit({session, EventType::kStrokeEnd, 1}).ok());
   }
   server.Shutdown();
 
