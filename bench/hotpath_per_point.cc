@@ -13,7 +13,8 @@
 // of coasting post-fire):
 //   scalar_view  — per-point AddPoint, scalar tier: the pre-SoA view path;
 //   batched_simd — EagerStream::AddSpan, best runtime dispatch tier: the
-//                  SoA EvaluateBatchInto path this PR adds.
+//                  path production serves, with the batched fire check
+//                  (simd::FirstArgMaxInPrefix) over 16-point chunks.
 // Reports per-point latency (p50/p95 over per-stroke samples) and heap
 // allocations per point for each, into BENCH_hotpath.json (including the
 // dispatch tier that was active, see docs/PERFORMANCE.md).
@@ -118,8 +119,8 @@ classify::Classification ReplayKernel(eager::EagerStream& stream, const geom::Ge
   return c;
 }
 
-// One batched stroke replay: the whole stroke in a single AddSpan call — the
-// SoA EvaluateBatchInto path, 16-point batches internally.
+// One batched stroke replay: the whole stroke in a single AddSpan call —
+// the batched fire check over 16-point chunks internally.
 classify::Classification ReplayBatched(eager::EagerStream& stream, const geom::Gesture& g) {
   eager::FireEvent fire;
   stream.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);

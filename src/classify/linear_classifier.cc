@@ -235,24 +235,6 @@ void LinearClassifier::EvaluateAllInto(linalg::VecView f, linalg::MutVecView sco
                             dim, scores.data(), num_classes());
 }
 
-void LinearClassifier::EvaluateBatchInto(const double* features, std::size_t batch,
-                                         std::size_t feature_stride, double* scores,
-                                         std::size_t scores_stride) const {
-  if (!trained()) {
-    throw std::logic_error("LinearClassifier::Evaluate before Train");
-  }
-  const std::size_t dim = dimension();
-  if (feature_stride < dim || scores_stride < num_classes()) {
-    throw std::invalid_argument("LinearClassifier::EvaluateBatchInto: bad strides");
-  }
-  // One dispatched call for the whole batch: the kernel tiles classes so a
-  // weight-block sweep serves every row (not one row each), and pairs rows
-  // inside a tile. Results are bit-identical to row-at-a-time evaluation,
-  // so batched results are still the per-row results, by construction.
-  linalg::simd::EvaluateBatch(soa_weights_.data(), class_stride_, biases_.data(), features,
-                              batch, feature_stride, scores, scores_stride, dim, num_classes());
-}
-
 void LinearClassifier::EvaluateInto(linalg::VecView f, linalg::MutVecView scores) const {
   EvaluateAllInto(f, scores);
 }
@@ -273,11 +255,18 @@ bool LinearClassifier::EvaluateWinnerInPrefix(linalg::VecView f, std::size_t spl
 std::size_t LinearClassifier::FirstWinnerInPrefix(const double* rows, std::size_t batch,
                                                   std::size_t row_stride,
                                                   const std::size_t* columns,
-                                                  std::size_t split) const {
+                                                  std::size_t split,
+                                                  const linalg::simd::FireFilter* filter) const {
   assert(trained());
   return linalg::simd::FirstArgMaxInPrefix(soa_weights_.data(), class_stride_, biases_.data(),
                                            rows, batch, row_stride, columns, dimension(), split,
-                                           num_classes());
+                                           num_classes(), filter);
+}
+
+linalg::simd::FireFilter LinearClassifier::BuildFireFilter(std::size_t split) const {
+  assert(trained());
+  return linalg::simd::FireFilter::Build(soa_weights_.data(), class_stride_, biases_.data(),
+                                         dimension(), split, num_classes());
 }
 
 Classification LinearClassifier::ClassifyView(linalg::VecView f, linalg::MutVecView scores,

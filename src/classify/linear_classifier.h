@@ -100,16 +100,6 @@ class LinearClassifier {
   // `scores` must be sized num_classes().
   void EvaluateAllInto(linalg::VecView f, linalg::MutVecView scores) const;
 
-  // Multi-feature-vector variant: scores `batch` feature vectors (rows of
-  // `features`, `feature_stride` doubles apart, each dimension() wide) into
-  // rows of `scores` (`scores_stride` doubles apart, each num_classes()
-  // wide). Row r's scores are bit-identical to EvaluateAllInto on row r —
-  // the batch loops the same per-row kernel, so batched and per-point
-  // callers can never disagree.
-  void EvaluateBatchInto(const double* features, std::size_t batch,
-                         std::size_t feature_stride, double* scores,
-                         std::size_t scores_stride) const;
-
   // Writes v_c(f) for every class into `scores` (size num_classes()).
   // Thin wrapper over EvaluateAllInto, kept for the scalar-view API surface.
   void EvaluateInto(linalg::VecView f, linalg::MutVecView scores) const;
@@ -133,9 +123,16 @@ class LinearClassifier {
   // i < dimension(). Returns the first row whose answer is true, or `batch`
   // when none is; each row's answer is bit-identical to
   // EvaluateWinnerInPrefix on its gathered features (see
-  // simd::FirstArgMaxInPrefix). No scratch.
+  // simd::FirstArgMaxInPrefix), with or without `filter`, which should come
+  // from BuildFireFilter(split) on the current parameters. No scratch.
   std::size_t FirstWinnerInPrefix(const double* rows, std::size_t batch, std::size_t row_stride,
-                                  const std::size_t* columns, std::size_t split) const;
+                                  const std::size_t* columns, std::size_t split,
+                                  const linalg::simd::FireFilter* filter = nullptr) const;
+
+  // The single-precision mirror FirstWinnerInPrefix screens rows with (see
+  // simd::FireFilter); empty when no kernel would use it. Derived from the
+  // current weights and biases, so rebuild it after AdjustBias.
+  linalg::simd::FireFilter BuildFireFilter(std::size_t split) const;
 
   // Full Classification (argmax + probability + Mahalanobis) reusing caller
   // scratch: `scores` sized num_classes(), `diff` sized dimension().

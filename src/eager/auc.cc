@@ -30,6 +30,7 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
   num_complete_ = 0;
   complete_prefix_ = false;
   linear_ = classify::LinearClassifier();
+  filter_ = linalg::simd::FireFilter{};
 
   // Gather the non-empty sets into a dense AUC class list; complete sets
   // first, then incomplete, each remembering its full-classifier class.
@@ -110,6 +111,7 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
   bool monotone = true;
   std::vector<double> scores(linear_.num_classes());
   const linalg::MutVecView scores_view(scores.data(), scores.size());
+  report.converged = false;
   for (std::size_t pass = 0; pass < options.max_tweak_passes; ++pass) {
     ++report.tweak_passes;
     adjusted.clear();
@@ -147,11 +149,13 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
     }
     report.tweak_adjustments += adjusted.size();
     if (adjusted.empty()) {
-      return report;
+      report.converged = true;
+      break;
     }
     worklist.swap(adjusted);
   }
-  report.converged = false;
+  // The biases are final: mirror the block for the fire check's filter.
+  filter_ = linear_.BuildFireFilter(num_complete_);
   return report;
 }
 
@@ -204,9 +208,10 @@ std::size_t Auc::FirstUnambiguous(const double* rows, std::size_t batch, std::si
   if (complete_prefix_) {
     // The batched fused fire check (see UnambiguousView): one kernel call
     // reads the rows through the column list and stops at the first complete
-    // winner; `scores` stays untouched scratch.
+    // winner; `scores` stays untouched scratch. The filter only skips rows
+    // that provably do not fire.
     const std::size_t r =
-        linear_.FirstWinnerInPrefix(rows, batch, stride, columns, num_complete_);
+        linear_.FirstWinnerInPrefix(rows, batch, stride, columns, num_complete_, &filter_);
     return r < batch ? r : kNone;
   }
   std::array<double, linalg::simd::kMaxColumns> masked{};
@@ -228,6 +233,9 @@ Auc Auc::FromParameters(Mode mode, classify::LinearClassifier linear,
   out.linear_ = std::move(linear);
   out.sets_ = std::move(sets);
   out.IndexSets();
+  if (out.mode_ == Mode::kNormal && out.complete_prefix_ && out.linear_.trained()) {
+    out.filter_ = out.linear_.BuildFireFilter(out.num_complete_);
+  }
   return out;
 }
 

@@ -5,11 +5,11 @@
 // FMA-capable hardware.
 #include "linalg/simd.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 
 #if !defined(GRANDMA_SIMD_DISABLED)
@@ -35,9 +35,6 @@ struct KernelTable {
   double (*squared_norm)(const double* v, std::size_t n);
   void (*evaluate_all)(const double* soa, std::size_t stride, const double* biases,
                        const double* f, std::size_t dim, double* scores, std::size_t classes);
-  void (*evaluate_all2)(const double* soa, std::size_t stride, const double* biases,
-                        const double* f0, const double* f1, std::size_t dim, double* s0,
-                        double* s1, std::size_t classes);
   std::size_t (*argmax)(const double* v, std::size_t n);
   bool (*argmax_in_prefix)(const double* soa, std::size_t stride, const double* biases,
                            const double* f, std::size_t dim, std::size_t split,
@@ -45,7 +42,7 @@ struct KernelTable {
   std::size_t (*first_in_prefix)(const double* soa, std::size_t stride, const double* biases,
                                  const double* rows, std::size_t batch, std::size_t row_stride,
                                  const std::size_t* columns, std::size_t dim, std::size_t split,
-                                 std::size_t classes);
+                                 std::size_t classes, const FireFilter* filter);
 };
 
 // --- Scalar tier (the reference) ---------------------------------------
@@ -87,33 +84,6 @@ void EvaluateAllScalar(const double* soa, std::size_t stride, const double* bias
   }
   for (std::size_t c = 0; c < classes; ++c) {
     scores[c] += biases[c];
-  }
-}
-
-// Two points through one weight-block sweep. Each point's per-class chain
-// is the exact operation sequence of EvaluateAllScalar (zero, += in feature
-// order, bias last), so the results are bit-identical to two single-point
-// calls — the pairing only changes which chain a weight row feeds next,
-// never the order within a chain.
-void EvaluateAll2Scalar(const double* soa, std::size_t stride, const double* biases,
-                        const double* f0, const double* f1, std::size_t dim, double* s0,
-                        double* s1, std::size_t classes) {
-  for (std::size_t c = 0; c < classes; ++c) {
-    s0[c] = 0.0;
-    s1[c] = 0.0;
-  }
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double a0 = f0[i];
-    const double a1 = f1[i];
-    const double* row = soa + i * stride;
-    for (std::size_t c = 0; c < classes; ++c) {
-      s0[c] += a0 * row[c];
-      s1[c] += a1 * row[c];
-    }
-  }
-  for (std::size_t c = 0; c < classes; ++c) {
-    s0[c] += biases[c];
-    s1[c] += biases[c];
   }
 }
 
@@ -170,13 +140,13 @@ using InPrefixKernel = bool (*)(const double* soa, std::size_t stride, const dou
 
 // The per-row batched fire check: gathers each row through the column list
 // and runs a tier's per-row fused kernel on it, stopping at the first row
-// that fires. The scalar and 2-wide tiers use nothing else; the AVX2 tier
-// uses it where rows in lanes does not pay.
+// that fires. The scalar and 2-wide tiers use nothing else (and no filter);
+// the AVX2 tier uses it for a short quad tail.
 template <InPrefixKernel kInPrefix>
 std::size_t FirstInPrefixPerRow(const double* soa, std::size_t stride, const double* biases,
                                 const double* rows, std::size_t batch, std::size_t row_stride,
                                 const std::size_t* columns, std::size_t dim, std::size_t split,
-                                std::size_t classes) {
+                                std::size_t classes, const FireFilter* /*filter*/ = nullptr) {
   double f[kMaxColumns];
   for (std::size_t r = 0; r < batch; ++r) {
     const double* row = rows + r * row_stride;
@@ -195,7 +165,6 @@ constexpr KernelTable kScalarTable{Tier::kScalar,
                                    AxpyScalar,
                                    SquaredNormScalar,
                                    EvaluateAllScalar,
-                                   EvaluateAll2Scalar,
                                    ArgMaxScalar,
                                    EvaluateArgMaxInPrefixScalar,
                                    FirstInPrefixPerRow<EvaluateArgMaxInPrefixScalar>};
@@ -271,77 +240,6 @@ void EvaluateAllSse2(const double* soa, std::size_t stride, const double* biases
       acc += f[i] * soa[i * stride + c];
     }
     scores[c] = acc + biases[c];
-  }
-}
-
-void EvaluateAll2Sse2(const double* soa, std::size_t stride, const double* biases,
-                      const double* f0, const double* f1, std::size_t dim, double* s0,
-                      double* s1, std::size_t classes) {
-  std::size_t c = 0;
-  // 8-class blocks, both points at once: each weight load feeds two chains.
-  for (; c + 8 <= classes; c += 8) {
-    __m128d p0a0 = _mm_setzero_pd();
-    __m128d p0a1 = _mm_setzero_pd();
-    __m128d p0a2 = _mm_setzero_pd();
-    __m128d p0a3 = _mm_setzero_pd();
-    __m128d p1a0 = _mm_setzero_pd();
-    __m128d p1a1 = _mm_setzero_pd();
-    __m128d p1a2 = _mm_setzero_pd();
-    __m128d p1a3 = _mm_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m128d ff0 = _mm_set1_pd(f0[i]);
-      const __m128d ff1 = _mm_set1_pd(f1[i]);
-      const double* row = col + i * stride;
-      const __m128d w0 = _mm_loadu_pd(row);
-      const __m128d w1 = _mm_loadu_pd(row + 2);
-      const __m128d w2 = _mm_loadu_pd(row + 4);
-      const __m128d w3 = _mm_loadu_pd(row + 6);
-      p0a0 = _mm_add_pd(p0a0, _mm_mul_pd(ff0, w0));
-      p0a1 = _mm_add_pd(p0a1, _mm_mul_pd(ff0, w1));
-      p0a2 = _mm_add_pd(p0a2, _mm_mul_pd(ff0, w2));
-      p0a3 = _mm_add_pd(p0a3, _mm_mul_pd(ff0, w3));
-      p1a0 = _mm_add_pd(p1a0, _mm_mul_pd(ff1, w0));
-      p1a1 = _mm_add_pd(p1a1, _mm_mul_pd(ff1, w1));
-      p1a2 = _mm_add_pd(p1a2, _mm_mul_pd(ff1, w2));
-      p1a3 = _mm_add_pd(p1a3, _mm_mul_pd(ff1, w3));
-    }
-    const __m128d b0 = _mm_loadu_pd(biases + c);
-    const __m128d b1 = _mm_loadu_pd(biases + c + 2);
-    const __m128d b2 = _mm_loadu_pd(biases + c + 4);
-    const __m128d b3 = _mm_loadu_pd(biases + c + 6);
-    _mm_storeu_pd(s0 + c, _mm_add_pd(p0a0, b0));
-    _mm_storeu_pd(s0 + c + 2, _mm_add_pd(p0a1, b1));
-    _mm_storeu_pd(s0 + c + 4, _mm_add_pd(p0a2, b2));
-    _mm_storeu_pd(s0 + c + 6, _mm_add_pd(p0a3, b3));
-    _mm_storeu_pd(s1 + c, _mm_add_pd(p1a0, b0));
-    _mm_storeu_pd(s1 + c + 2, _mm_add_pd(p1a1, b1));
-    _mm_storeu_pd(s1 + c + 4, _mm_add_pd(p1a2, b2));
-    _mm_storeu_pd(s1 + c + 6, _mm_add_pd(p1a3, b3));
-  }
-  for (; c + 2 <= classes; c += 2) {
-    __m128d acc0 = _mm_setzero_pd();
-    __m128d acc1 = _mm_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m128d w = _mm_loadu_pd(col + i * stride);
-      acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_set1_pd(f0[i]), w));
-      acc1 = _mm_add_pd(acc1, _mm_mul_pd(_mm_set1_pd(f1[i]), w));
-    }
-    const __m128d b = _mm_loadu_pd(biases + c);
-    _mm_storeu_pd(s0 + c, _mm_add_pd(acc0, b));
-    _mm_storeu_pd(s1 + c, _mm_add_pd(acc1, b));
-  }
-  for (; c < classes; ++c) {
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double w = soa[i * stride + c];
-      acc0 += f0[i] * w;
-      acc1 += f1[i] * w;
-    }
-    s0[c] = acc0 + biases[c];
-    s1[c] = acc1 + biases[c];
   }
 }
 
@@ -520,7 +418,6 @@ constexpr KernelTable kSse2Table{Tier::kSse2,
                                  AxpySse2,
                                  SquaredNormSse2,
                                  EvaluateAllSse2,
-                                 EvaluateAll2Sse2,
                                  ArgMaxSse2,
                                  EvaluateArgMaxInPrefixSse2,
                                  FirstInPrefixPerRow<EvaluateArgMaxInPrefixSse2>};
@@ -600,80 +497,6 @@ __attribute__((target("avx2"))) void EvaluateAllAvx2(const double* soa, std::siz
       acc += f[i] * soa[i * stride + c];
     }
     scores[c] = acc + biases[c];
-  }
-}
-
-__attribute__((target("avx2"))) void EvaluateAll2Avx2(const double* soa, std::size_t stride,
-                                                      const double* biases, const double* f0,
-                                                      const double* f1, std::size_t dim,
-                                                      double* s0, double* s1,
-                                                      std::size_t classes) {
-  std::size_t c = 0;
-  // 16-class blocks, both points at once: 4 weight loads + 2 broadcasts feed
-  // 8 accumulators (14 live ymm registers).
-  for (; c + 16 <= classes; c += 16) {
-    __m256d p0a0 = _mm256_setzero_pd();
-    __m256d p0a1 = _mm256_setzero_pd();
-    __m256d p0a2 = _mm256_setzero_pd();
-    __m256d p0a3 = _mm256_setzero_pd();
-    __m256d p1a0 = _mm256_setzero_pd();
-    __m256d p1a1 = _mm256_setzero_pd();
-    __m256d p1a2 = _mm256_setzero_pd();
-    __m256d p1a3 = _mm256_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m256d ff0 = _mm256_set1_pd(f0[i]);
-      const __m256d ff1 = _mm256_set1_pd(f1[i]);
-      const double* row = col + i * stride;
-      const __m256d w0 = _mm256_loadu_pd(row);
-      const __m256d w1 = _mm256_loadu_pd(row + 4);
-      const __m256d w2 = _mm256_loadu_pd(row + 8);
-      const __m256d w3 = _mm256_loadu_pd(row + 12);
-      p0a0 = _mm256_add_pd(p0a0, _mm256_mul_pd(ff0, w0));
-      p0a1 = _mm256_add_pd(p0a1, _mm256_mul_pd(ff0, w1));
-      p0a2 = _mm256_add_pd(p0a2, _mm256_mul_pd(ff0, w2));
-      p0a3 = _mm256_add_pd(p0a3, _mm256_mul_pd(ff0, w3));
-      p1a0 = _mm256_add_pd(p1a0, _mm256_mul_pd(ff1, w0));
-      p1a1 = _mm256_add_pd(p1a1, _mm256_mul_pd(ff1, w1));
-      p1a2 = _mm256_add_pd(p1a2, _mm256_mul_pd(ff1, w2));
-      p1a3 = _mm256_add_pd(p1a3, _mm256_mul_pd(ff1, w3));
-    }
-    const __m256d b0 = _mm256_loadu_pd(biases + c);
-    const __m256d b1 = _mm256_loadu_pd(biases + c + 4);
-    const __m256d b2 = _mm256_loadu_pd(biases + c + 8);
-    const __m256d b3 = _mm256_loadu_pd(biases + c + 12);
-    _mm256_storeu_pd(s0 + c, _mm256_add_pd(p0a0, b0));
-    _mm256_storeu_pd(s0 + c + 4, _mm256_add_pd(p0a1, b1));
-    _mm256_storeu_pd(s0 + c + 8, _mm256_add_pd(p0a2, b2));
-    _mm256_storeu_pd(s0 + c + 12, _mm256_add_pd(p0a3, b3));
-    _mm256_storeu_pd(s1 + c, _mm256_add_pd(p1a0, b0));
-    _mm256_storeu_pd(s1 + c + 4, _mm256_add_pd(p1a1, b1));
-    _mm256_storeu_pd(s1 + c + 8, _mm256_add_pd(p1a2, b2));
-    _mm256_storeu_pd(s1 + c + 12, _mm256_add_pd(p1a3, b3));
-  }
-  for (; c + 4 <= classes; c += 4) {
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m256d w = _mm256_loadu_pd(col + i * stride);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(f0[i]), w));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(f1[i]), w));
-    }
-    const __m256d b = _mm256_loadu_pd(biases + c);
-    _mm256_storeu_pd(s0 + c, _mm256_add_pd(acc0, b));
-    _mm256_storeu_pd(s1 + c, _mm256_add_pd(acc1, b));
-  }
-  for (; c < classes; ++c) {
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double w = soa[i * stride + c];
-      acc0 += f0[i] * w;
-      acc1 += f1[i] * w;
-    }
-    s0[c] = acc0 + biases[c];
-    s1[c] = acc1 + biases[c];
   }
 }
 
@@ -965,80 +788,230 @@ constexpr std::size_t kRowsInLanesMaxSets = 128;
 // with 2-point spans.
 constexpr std::size_t kRowsInLanesMinRows = 2;
 
+// --- Floating-point filter -----------------------------------------------
+//
+// Large blocks (more sets than rows in lanes takes) screen each row with the
+// FireFilter mirror before the exact early-exit sweep. The filter can only
+// answer "this row does not fire"; every other row takes the sweep, so the
+// answer is bit-identical to it by construction. The argument (Shewchuk's
+// floating-point filter for exact predicates, applied to the fire check):
+//
+// Let t_c = sum_i f_i w_ci + b_c over the double inputs in exact arithmetic,
+// s_c the double score the exact kernels compute, and s~_c the float score
+// computed here from f~_i = fl32(f_i), w~_ci = fl32(w_ci), b~_c = fl32(b_c).
+// With u = 2^-24, a float conversion or product is off by at most u|x| plus
+// 2^-150 (half the subnormal spacing), and float additions of the d products
+// and the bias, in any order, add at most gamma_d (Higham, recursive
+// summation). With a_c = sum_i |f_i||w_ci| + |b_c| <= E = sum_i M_i |f_i| + B,
+//   |s~_c - t_c| <= ((1 + u)^(d+3) - 1) a_c + (underflow terms),
+//   |s_c - t_c|  <= gamma_(d+1) a_c at unit roundoff 2^-53 (the double chain).
+// So |s~_c - s_c| <= (d + 3) u E + r, where r collects the second-order terms
+// of (1 + u)^(d+3) (below 2^-37 E at d <= kMaxColumns), the double chain
+// (below 2^-47 E) and the underflow terms. eta bounds the underflow terms
+// twice over: a feature that underflows in float moves a score by 2^-150 M_i,
+// a weight that does by 2^-150 |f_i| <= 2^-86 under the guard, a product or
+// bias by 2^-150, a double product by 2^-1075 (sums of subnormals are exact),
+// and eta = 2^-148 sum_i M_i + 2^-78.
+//
+// The test: with p~ the float prefix maximum, a row is ruled out when some
+// suffix s~_c exceeds tau = fl32(p~ + 2(kappa E + eta)), kappa = (d + 4) u.
+// Every prefix score has s_c' <= p~ + (d + 3) u E + r, and s~_c > tau gives
+// s_c >= s~_c - (d + 3) u E - r. Rounding tau to the nearest float loses at
+// most 1.01 u E + 2^-150, as |p~| <= (1 + 2^-19) E + eta; the double
+// roundings of E and of the sum lose below 2^-50 E. The spare unit of
+// kappa, doubled, is 2 u E: it covers the rounding of tau and twice the
+// second-order and double-chain terms, and 2 eta covers twice the underflow
+// terms and tau's 2^-150. So s_c > every s_c': the first-max winner leaves
+// the prefix and the row does not fire.
+//
+// Guards: the filter runs only when every |f_i| and E are below 2^64. Then
+// the float features, products and sums are finite (the mirror exists only
+// when every weight and bias is within float range), every double score is
+// finite as well, and so no score is NaN on either side.
+constexpr double kFilterGuard = 0x1p64;
+
+// Float scores of kBlocks consecutive 8-lane blocks of the mirror, from
+// lane k, for the float row `ft`: each chain sums the features in order,
+// then the bias (the bound holds for any summation order), and each
+// broadcast feature feeds every block.
+template <int kBlocks>
+__attribute__((target("avx2"), always_inline)) inline void FilterScoresAvx2(
+    const FireFilter& m, const float* ft, std::size_t dim, std::size_t k,
+    __m256 (&s)[kBlocks]) {
+  const float* w = m.weights.data() + k;
+  const std::size_t lanes = m.lanes;
+#pragma GCC unroll 4
+  for (int g = 0; g < kBlocks; ++g) {
+    s[g] = _mm256_setzero_ps();
+  }
+  for (std::size_t i = 0; i < dim; ++i) {
+    const __m256 x = _mm256_broadcast_ss(ft + i);
+#pragma GCC unroll 4
+    for (int g = 0; g < kBlocks; ++g) {
+      s[g] = _mm256_add_ps(s[g], _mm256_mul_ps(x, _mm256_load_ps(w + i * lanes + 8 * g)));
+    }
+  }
+#pragma GCC unroll 4
+  for (int g = 0; g < kBlocks; ++g) {
+    s[g] = _mm256_add_ps(s[g], _mm256_load_ps(m.biases.data() + k + 8 * g));
+  }
+}
+
+// True when the mirror proves the gathered row `f` (zero past dim, up to a
+// multiple of 4) does not fire. `hint` is the suffix block that settled the
+// previous row of this call; the suffix scan starts there, and a settling
+// block becomes the next hint.
+__attribute__((target("avx2"))) bool FilterRulesOutAvx2(const FireFilter& m, const double* f,
+                                                        std::size_t dim, std::size_t& hint) {
+  alignas(32) float ft[kMaxColumns];
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d guard = _mm256_set1_pd(kFilterGuard);
+  __m256d sum = _mm256_setzero_pd();
+  int in_range = 0xF;
+  for (std::size_t i = 0; i < dim; i += 4) {
+    const __m256d x = _mm256_load_pd(f + i);
+    const __m256d ax = _mm256_andnot_pd(sign, x);
+    in_range &= _mm256_movemask_pd(_mm256_cmp_pd(ax, guard, _CMP_LT_OQ));
+    sum = _mm256_add_pd(sum, _mm256_mul_pd(ax, _mm256_loadu_pd(m.feature_bound.data() + i)));
+    _mm_store_ps(ft + i, _mm256_cvtpd_ps(x));
+  }
+  alignas(32) double parts[4];
+  _mm256_store_pd(parts, sum);
+  const double bound = ((parts[0] + parts[1]) + (parts[2] + parts[3])) + m.bias_bound;
+  if (in_range != 0xF || !(bound < kFilterGuard)) {
+    return false;
+  }
+  __m256 best = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  std::size_t k = 0;
+  for (; k + 32 <= m.prefix_lanes; k += 32) {
+    __m256 s[4];
+    FilterScoresAvx2(m, ft, dim, k, s);
+    best = _mm256_max_ps(best, _mm256_max_ps(_mm256_max_ps(s[0], s[1]), _mm256_max_ps(s[2], s[3])));
+  }
+  for (; k < m.prefix_lanes; k += 8) {
+    __m256 s[1];
+    FilterScoresAvx2(m, ft, dim, k, s);
+    best = _mm256_max_ps(best, s[0]);
+  }
+  __m128 half = _mm_max_ps(_mm256_castps256_ps128(best), _mm256_extractf128_ps(best, 1));
+  half = _mm_max_ps(half, _mm_movehl_ps(half, half));
+  half = _mm_max_ss(half, _mm_shuffle_ps(half, half, 1));
+  // Rounded to the nearest float: kappa's spare unit covers that rounding.
+  const __m256 threshold = _mm256_set1_ps(
+      static_cast<float>(static_cast<double>(_mm_cvtss_f32(half)) +
+                         2.0 * (m.relative_bound * bound + m.underflow_bound)));
+  const std::size_t blocks = (m.lanes - m.prefix_lanes) / 8;
+  for (std::size_t n = 0, b = hint; n < blocks; ++n, b = b + 1 == blocks ? 0 : b + 1) {
+    __m256 s[1];
+    FilterScoresAvx2(m, ft, dim, m.prefix_lanes + 8 * b, s);
+    if (_mm256_movemask_ps(_mm256_cmp_ps(s[0], threshold, _CMP_GT_OQ)) != 0) {
+      hint = b;
+      return true;
+    }
+  }
+  return false;
+}
+
+// The per-row path for blocks above the rows-in-lanes limit: the filter
+// first when `filter` matches the block, then the exact early-exit sweep.
+__attribute__((target("avx2"))) std::size_t FirstInPrefixLargeAvx2(
+    const double* soa, std::size_t stride, const double* biases, const double* rows,
+    std::size_t batch, std::size_t row_stride, const std::size_t* columns, std::size_t dim,
+    std::size_t split, std::size_t classes, const FireFilter* filter) {
+  const bool filtered = filter != nullptr && filter->Matches(dim, split, classes);
+  alignas(32) double f[kMaxColumns] = {};
+  std::size_t hint = 0;
+  for (std::size_t r = 0; r < batch; ++r) {
+    const double* row = rows + r * row_stride;
+    for (std::size_t i = 0; i < dim; ++i) {
+      f[i] = row[columns[i]];
+    }
+    if (filtered && FilterRulesOutAvx2(*filter, f, dim, hint)) {
+      continue;
+    }
+    if (InPrefixEarlyExitAvx2(soa, stride, biases, f, dim, split, classes)) {
+      return r;
+    }
+  }
+  return batch;
+}
+
 // Rows in lanes: lane k of every vector is row r + k, so one pass over the
 // weight block scores four rows, and the prefix maximum and the "suffix
 // beat it" flags stay per lane (no padded class lanes, no blends, no
 // horizontal reductions). The suffix stops once every live lane is beaten.
 // A lane with a NaN in its prefix redoes that row alone with the scalar
 // scan. Lanes are checked in row order, so the first firing row wins.
+// Larger blocks take FirstInPrefixLargeAvx2.
 __attribute__((target("avx2"))) std::size_t FirstArgMaxInPrefixAvx2(
     const double* soa, std::size_t stride, const double* biases, const double* rows,
     std::size_t batch, std::size_t row_stride, const std::size_t* columns, std::size_t dim,
-    std::size_t split, std::size_t classes) {
+    std::size_t split, std::size_t classes, const FireFilter* filter) {
+  if (classes > kRowsInLanesMaxSets) {
+    return FirstInPrefixLargeAvx2(soa, stride, biases, rows, batch, row_stride, columns, dim,
+                                  split, classes, filter);
+  }
   std::size_t r = 0;
-  if (classes <= kRowsInLanesMaxSets) {
-    alignas(32) double ft[4 * kMaxColumns];
-    for (; r + kRowsInLanesMinRows <= batch; r += 4) {
-      const std::size_t lanes = batch - r < 4 ? batch - r : 4;
-      // A short quad repeats its last row in the spare lanes, so every lane
-      // holds real features; those lanes are ignored below.
-      const double* r0 = rows + r * row_stride;
-      const double* r1 = lanes > 1 ? r0 + row_stride : r0;
-      const double* r2 = lanes > 2 ? r1 + row_stride : r1;
-      const double* r3 = lanes > 3 ? r2 + row_stride : r2;
-      for (std::size_t i = 0; i < dim; ++i) {
-        const std::size_t col = columns[i];
-        _mm256_store_pd(ft + 4 * i, _mm256_set_pd(r3[col], r2[col], r1[col], r0[col]));
-      }
-      __m256d a0;
-      __m256d a1;
-      __m256d a2;
-      __m256d a3;
-      __m256d prefix_max = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-      __m256d unord = _mm256_setzero_pd();
-      for (std::size_t c0 = 0; c0 < split; c0 += 4) {
-        ScoreGroupLanesAvx2(soa, stride, biases, ft, dim, c0, split - 1, a0, a1, a2, a3);
-        // unord(x, y) is true when either is NaN.
-        unord = _mm256_or_pd(unord, _mm256_or_pd(_mm256_cmp_pd(a0, a1, _CMP_UNORD_Q),
-                                                 _mm256_cmp_pd(a2, a3, _CMP_UNORD_Q)));
-        prefix_max = _mm256_max_pd(prefix_max,
-                                   _mm256_max_pd(_mm256_max_pd(a0, a1), _mm256_max_pd(a2, a3)));
-      }
-      const int nans = _mm256_movemask_pd(unord);
-      const int live = ((1 << lanes) - 1) & ~nans;
-      int beaten = 0;
-      for (std::size_t c0 = split; c0 < classes && (beaten & live) != live; c0 += 4) {
-        ScoreGroupLanesAvx2(soa, stride, biases, ft, dim, c0, classes - 1, a0, a1, a2, a3);
-        const __m256d above = _mm256_or_pd(
-            _mm256_or_pd(_mm256_cmp_pd(a0, prefix_max, _CMP_GT_OQ),
-                         _mm256_cmp_pd(a1, prefix_max, _CMP_GT_OQ)),
-            _mm256_or_pd(_mm256_cmp_pd(a2, prefix_max, _CMP_GT_OQ),
-                         _mm256_cmp_pd(a3, prefix_max, _CMP_GT_OQ)));
-        beaten |= _mm256_movemask_pd(above);
-      }
-      for (std::size_t k = 0; k < lanes; ++k) {
-        if ((nans >> k & 1) != 0) {
-          double f[kMaxColumns];
-          for (std::size_t i = 0; i < dim; ++i) {
-            f[i] = ft[4 * i + k];
-          }
-          if (EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes)) {
-            return r + k;
-          }
-        } else if ((beaten >> k & 1) == 0) {
+  alignas(32) double ft[4 * kMaxColumns];
+  for (; r + kRowsInLanesMinRows <= batch; r += 4) {
+    const std::size_t lanes = batch - r < 4 ? batch - r : 4;
+    // A short quad repeats its last row in the spare lanes, so every lane
+    // holds real features; those lanes are ignored below.
+    const double* r0 = rows + r * row_stride;
+    const double* r1 = lanes > 1 ? r0 + row_stride : r0;
+    const double* r2 = lanes > 2 ? r1 + row_stride : r1;
+    const double* r3 = lanes > 3 ? r2 + row_stride : r2;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const std::size_t col = columns[i];
+      _mm256_store_pd(ft + 4 * i, _mm256_set_pd(r3[col], r2[col], r1[col], r0[col]));
+    }
+    __m256d a0;
+    __m256d a1;
+    __m256d a2;
+    __m256d a3;
+    __m256d prefix_max = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+    __m256d unord = _mm256_setzero_pd();
+    for (std::size_t c0 = 0; c0 < split; c0 += 4) {
+      ScoreGroupLanesAvx2(soa, stride, biases, ft, dim, c0, split - 1, a0, a1, a2, a3);
+      // unord(x, y) is true when either is NaN.
+      unord = _mm256_or_pd(unord, _mm256_or_pd(_mm256_cmp_pd(a0, a1, _CMP_UNORD_Q),
+                                               _mm256_cmp_pd(a2, a3, _CMP_UNORD_Q)));
+      prefix_max = _mm256_max_pd(prefix_max,
+                                 _mm256_max_pd(_mm256_max_pd(a0, a1), _mm256_max_pd(a2, a3)));
+    }
+    const int nans = _mm256_movemask_pd(unord);
+    const int live = ((1 << lanes) - 1) & ~nans;
+    int beaten = 0;
+    for (std::size_t c0 = split; c0 < classes && (beaten & live) != live; c0 += 4) {
+      ScoreGroupLanesAvx2(soa, stride, biases, ft, dim, c0, classes - 1, a0, a1, a2, a3);
+      const __m256d above = _mm256_or_pd(
+          _mm256_or_pd(_mm256_cmp_pd(a0, prefix_max, _CMP_GT_OQ),
+                       _mm256_cmp_pd(a1, prefix_max, _CMP_GT_OQ)),
+          _mm256_or_pd(_mm256_cmp_pd(a2, prefix_max, _CMP_GT_OQ),
+                       _mm256_cmp_pd(a3, prefix_max, _CMP_GT_OQ)));
+      beaten |= _mm256_movemask_pd(above);
+    }
+    for (std::size_t k = 0; k < lanes; ++k) {
+      if ((nans >> k & 1) != 0) {
+        double f[kMaxColumns];
+        for (std::size_t i = 0; i < dim; ++i) {
+          f[i] = ft[4 * i + k];
+        }
+        if (EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes)) {
           return r + k;
         }
+      } else if ((beaten >> k & 1) == 0) {
+        return r + k;
       }
     }
-    if (r >= batch) {
-      return batch;
-    }
   }
-  const std::size_t first =
-      FirstInPrefixPerRow<InPrefixEarlyExitAvx2>(soa, stride, biases, rows + r * row_stride,
-                                                 batch - r, row_stride, columns, dim, split,
-                                                 classes);
-  return r + first;
+  if (r >= batch) {
+    return batch;
+  }
+  return r + FirstInPrefixPerRow<InPrefixEarlyExitAvx2>(soa, stride, biases,
+                                                        rows + r * row_stride, batch - r,
+                                                        row_stride, columns, dim, split,
+                                                        classes);
 }
 
 constexpr KernelTable kAvx2Table{Tier::kAvx2,
@@ -1046,7 +1019,6 @@ constexpr KernelTable kAvx2Table{Tier::kAvx2,
                                  AxpyAvx2,
                                  SquaredNormAvx2,
                                  EvaluateAllAvx2,
-                                 EvaluateAll2Avx2,
                                  ArgMaxAvx2,
                                  EvaluateArgMaxInPrefixAvx2,
                                  FirstArgMaxInPrefixAvx2};
@@ -1117,72 +1089,6 @@ void EvaluateAllNeon(const double* soa, std::size_t stride, const double* biases
       acc += f[i] * soa[i * stride + c];
     }
     scores[c] = acc + biases[c];
-  }
-}
-
-void EvaluateAll2Neon(const double* soa, std::size_t stride, const double* biases,
-                      const double* f0, const double* f1, std::size_t dim, double* s0,
-                      double* s1, std::size_t classes) {
-  std::size_t c = 0;
-  for (; c + 8 <= classes; c += 8) {
-    float64x2_t p0a0 = vdupq_n_f64(0.0);
-    float64x2_t p0a1 = vdupq_n_f64(0.0);
-    float64x2_t p0a2 = vdupq_n_f64(0.0);
-    float64x2_t p0a3 = vdupq_n_f64(0.0);
-    float64x2_t p1a0 = vdupq_n_f64(0.0);
-    float64x2_t p1a1 = vdupq_n_f64(0.0);
-    float64x2_t p1a2 = vdupq_n_f64(0.0);
-    float64x2_t p1a3 = vdupq_n_f64(0.0);
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const float64x2_t ff0 = vdupq_n_f64(f0[i]);
-      const float64x2_t ff1 = vdupq_n_f64(f1[i]);
-      const double* row = col + i * stride;
-      const float64x2_t w0 = vld1q_f64(row);
-      const float64x2_t w1 = vld1q_f64(row + 2);
-      const float64x2_t w2 = vld1q_f64(row + 4);
-      const float64x2_t w3 = vld1q_f64(row + 6);
-      p0a0 = vaddq_f64(p0a0, vmulq_f64(ff0, w0));
-      p0a1 = vaddq_f64(p0a1, vmulq_f64(ff0, w1));
-      p0a2 = vaddq_f64(p0a2, vmulq_f64(ff0, w2));
-      p0a3 = vaddq_f64(p0a3, vmulq_f64(ff0, w3));
-      p1a0 = vaddq_f64(p1a0, vmulq_f64(ff1, w0));
-      p1a1 = vaddq_f64(p1a1, vmulq_f64(ff1, w1));
-      p1a2 = vaddq_f64(p1a2, vmulq_f64(ff1, w2));
-      p1a3 = vaddq_f64(p1a3, vmulq_f64(ff1, w3));
-    }
-    vst1q_f64(s0 + c, vaddq_f64(p0a0, vld1q_f64(biases + c)));
-    vst1q_f64(s0 + c + 2, vaddq_f64(p0a1, vld1q_f64(biases + c + 2)));
-    vst1q_f64(s0 + c + 4, vaddq_f64(p0a2, vld1q_f64(biases + c + 4)));
-    vst1q_f64(s0 + c + 6, vaddq_f64(p0a3, vld1q_f64(biases + c + 6)));
-    vst1q_f64(s1 + c, vaddq_f64(p1a0, vld1q_f64(biases + c)));
-    vst1q_f64(s1 + c + 2, vaddq_f64(p1a1, vld1q_f64(biases + c + 2)));
-    vst1q_f64(s1 + c + 4, vaddq_f64(p1a2, vld1q_f64(biases + c + 4)));
-    vst1q_f64(s1 + c + 6, vaddq_f64(p1a3, vld1q_f64(biases + c + 6)));
-  }
-  for (; c + 2 <= classes; c += 2) {
-    float64x2_t acc0 = vdupq_n_f64(0.0);
-    float64x2_t acc1 = vdupq_n_f64(0.0);
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const float64x2_t w = vld1q_f64(col + i * stride);
-      acc0 = vaddq_f64(acc0, vmulq_f64(vdupq_n_f64(f0[i]), w));
-      acc1 = vaddq_f64(acc1, vmulq_f64(vdupq_n_f64(f1[i]), w));
-    }
-    const float64x2_t b = vld1q_f64(biases + c);
-    vst1q_f64(s0 + c, vaddq_f64(acc0, b));
-    vst1q_f64(s1 + c, vaddq_f64(acc1, b));
-  }
-  for (; c < classes; ++c) {
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double w = soa[i * stride + c];
-      acc0 += f0[i] * w;
-      acc1 += f1[i] * w;
-    }
-    s0[c] = acc0 + biases[c];
-    s1[c] = acc1 + biases[c];
   }
 }
 
@@ -1350,7 +1256,6 @@ constexpr KernelTable kSse2Table{Tier::kSse2,
                                  AxpyNeon,
                                  SquaredNormNeon,
                                  EvaluateAllNeon,
-                                 EvaluateAll2Neon,
                                  ArgMaxNeon,
                                  EvaluateArgMaxInPrefixNeon,
                                  FirstInPrefixPerRow<EvaluateArgMaxInPrefixNeon>};
@@ -1502,49 +1407,6 @@ void EvaluateAll(const double* soa, std::size_t stride, const double* biases,
   Active().evaluate_all(soa, stride, biases, f, dim, scores, classes);
 }
 
-void EvaluateAll2(const double* soa, std::size_t stride, const double* biases,
-                  const double* f0, const double* f1, std::size_t dim, double* s0, double* s1,
-                  std::size_t classes) {
-  assert(stride >= classes);
-  Active().evaluate_all2(soa, stride, biases, f0, f1, dim, s0, s1, classes);
-}
-
-void EvaluateBatch(const double* soa, std::size_t stride, const double* biases,
-                   const double* features, std::size_t batch, std::size_t feature_stride,
-                   double* scores, std::size_t scores_stride, std::size_t dim,
-                   std::size_t classes) {
-  assert(stride >= classes);
-  assert(feature_stride >= dim);
-  assert(scores_stride >= classes);
-  // Hold the table once so every row of the batch runs the same tier even
-  // if a ForceTier races in (documented single-threaded-only, but cheap to
-  // be coherent about).
-  const KernelTable& table = Active();
-  // Class tiles sized so one tile's weight rows (kClassTile * dim doubles;
-  // 6.5 KiB at the 13-feature extractor) stay L1-resident across the whole
-  // batch: the full block is swept once per BATCH instead of once per row,
-  // which is where the per-point cost at 200+ classes goes. Tiling classes
-  // never touches a per-(row, class) accumulation chain, so results stay
-  // bit-identical to row-at-a-time EvaluateAll on every tier. The tile
-  // width is a multiple of every kernel's widest class block (16), so only
-  // the final tile runs tail lanes.
-  constexpr std::size_t kClassTile = 64;
-  for (std::size_t c0 = 0; c0 < classes; c0 += kClassTile) {
-    const std::size_t tile = classes - c0 < kClassTile ? classes - c0 : kClassTile;
-    std::size_t r = 0;
-    for (; r + 2 <= batch; r += 2) {
-      table.evaluate_all2(soa + c0, stride, biases + c0, features + r * feature_stride,
-                          features + (r + 1) * feature_stride, dim,
-                          scores + r * scores_stride + c0, scores + (r + 1) * scores_stride + c0,
-                          tile);
-    }
-    if (r < batch) {
-      table.evaluate_all(soa + c0, stride, biases + c0, features + r * feature_stride, dim,
-                         scores + r * scores_stride + c0, tile);
-    }
-  }
-}
-
 std::size_t ArgMax(const double* v, std::size_t n) {
   if (n == 0) {
     return 0;
@@ -1562,7 +1424,7 @@ bool EvaluateArgMaxInPrefix(const double* soa, std::size_t stride, const double*
 std::size_t FirstArgMaxInPrefix(const double* soa, std::size_t stride, const double* biases,
                                 const double* rows, std::size_t batch, std::size_t row_stride,
                                 const std::size_t* columns, std::size_t dim, std::size_t split,
-                                std::size_t classes) {
+                                std::size_t classes, const FireFilter* filter) {
   assert(stride >= classes);
   assert(dim <= kMaxColumns);
   // The same early answers as the per-row kernel, for the whole batch: the
@@ -1574,67 +1436,60 @@ std::size_t FirstArgMaxInPrefix(const double* soa, std::size_t stride, const dou
     return 0;
   }
   return Active().first_in_prefix(soa, stride, biases, rows, batch, row_stride, columns, dim,
-                                  split, classes);
+                                  split, classes, filter);
 }
 
-// --- AlignedBuffer ------------------------------------------------------
-
-AlignedBuffer::AlignedBuffer(const AlignedBuffer& other) {
-  assign(other.size_, 0.0);
-  if (size_ != 0) {
-    std::memcpy(data_, other.data_, size_ * sizeof(double));
+FireFilter FireFilter::Build([[maybe_unused]] const double* soa,
+                             [[maybe_unused]] std::size_t stride,
+                             [[maybe_unused]] const double* biases,
+                             [[maybe_unused]] std::size_t dim, [[maybe_unused]] std::size_t split,
+                             [[maybe_unused]] std::size_t classes) {
+  FireFilter out;
+#if defined(GRANDMA_SIMD_X86)
+  if (classes <= kRowsInLanesMaxSets || split == 0 || split >= classes || dim > kMaxColumns) {
+    return out;
   }
-}
-
-AlignedBuffer::AlignedBuffer(AlignedBuffer&& other) noexcept
-    : data_(other.data_), size_(other.size_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-}
-
-AlignedBuffer& AlignedBuffer::operator=(const AlignedBuffer& other) {
-  if (this != &other) {
-    assign(other.size_, 0.0);
-    if (size_ != 0) {
-      std::memcpy(data_, other.data_, size_ * sizeof(double));
+  // Checked as doubles: converting a value outside float range is undefined.
+  const auto fits = [](double x) { return std::fabs(x) <= std::numeric_limits<float>::max(); };
+  double bound_sum = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t c = 0; c < classes; ++c) {
+      const double w = soa[i * stride + c];
+      if (!fits(w)) {
+        return FireFilter{};
+      }
+      out.feature_bound[i] = std::max(out.feature_bound[i], std::fabs(w));
     }
+    bound_sum += out.feature_bound[i];
   }
-  return *this;
-}
-
-AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
-  if (this != &other) {
-    Release();
-    data_ = other.data_;
-    size_ = other.size_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
-AlignedBuffer::~AlignedBuffer() { Release(); }
-
-void AlignedBuffer::Release() {
-  if (data_ != nullptr) {
-    ::operator delete[](data_, std::align_val_t(kBlockAlignment));
-    data_ = nullptr;
-  }
-  size_ = 0;
-}
-
-void AlignedBuffer::assign(std::size_t size, double value) {
-  if (size != size_) {
-    Release();
-    if (size != 0) {
-      data_ = static_cast<double*>(
-          ::operator new[](size * sizeof(double), std::align_val_t(kBlockAlignment)));
-      size_ = size;
+  for (std::size_t c = 0; c < classes; ++c) {
+    if (!fits(biases[c])) {
+      return FireFilter{};
     }
+    out.bias_bound = std::max(out.bias_bound, std::fabs(biases[c]));
   }
-  for (std::size_t i = 0; i < size_; ++i) {
-    data_[i] = value;
+  const auto round_up_8 = [](std::size_t n) { return (n + 7) / 8 * 8; };
+  out.prefix_lanes = round_up_8(split);
+  out.lanes = out.prefix_lanes + round_up_8(classes - split);
+  out.weights.assign(dim * out.lanes, 0.0F);
+  out.biases.assign(out.lanes, 0.0F);
+  for (std::size_t k = 0; k < out.lanes; ++k) {
+    const std::size_t c = k < out.prefix_lanes ? std::min(k, split - 1)
+                                               : std::min(split + (k - out.prefix_lanes),
+                                                          classes - 1);
+    for (std::size_t i = 0; i < dim; ++i) {
+      out.weights[i * out.lanes + k] = static_cast<float>(soa[i * stride + c]);
+    }
+    out.biases[k] = static_cast<float>(biases[c]);
   }
+  // The constants derived above FilterScoresAvx2.
+  out.relative_bound = static_cast<double>(dim + 4) * 0x1p-24;
+  out.underflow_bound = 0x1p-148 * bound_sum + 0x1p-78;
+  out.dim = dim;
+  out.split = split;
+  out.classes = classes;
+#endif
+  return out;
 }
 
 }  // namespace grandma::linalg::simd

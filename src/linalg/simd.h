@@ -33,7 +33,13 @@
 #ifndef GRANDMA_SRC_LINALG_SIMD_H_
 #define GRANDMA_SRC_LINALG_SIMD_H_
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstddef>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 #include "linalg/vec_view.h"
 
@@ -92,27 +98,6 @@ double QuadraticForm(VecView x, const double* m, VecView y);
 void EvaluateAll(const double* soa, std::size_t stride, const double* biases,
                  const double* f, std::size_t dim, double* scores, std::size_t classes);
 
-// Two feature vectors through ONE sweep of the weight block: s0/s1 get
-// exactly what two EvaluateAll calls would produce, bit for bit (each
-// point's per-class chain is the same operation sequence; pairing only
-// shares the weight loads between the two chains). This is the batch
-// evaluator's memory-bandwidth lever: at 200+ classes the SoA block
-// no longer fits L1, and pairing halves the per-point weight traffic.
-void EvaluateAll2(const double* soa, std::size_t stride, const double* biases,
-                  const double* f0, const double* f1, std::size_t dim, double* s0, double* s1,
-                  std::size_t classes);
-
-// A whole batch of feature rows through class-tiled sweeps of the weight
-// block: row r's scores land at scores + r * scores_stride and are bit-
-// identical to a row-at-a-time EvaluateAll (class tiling and row pairing
-// never reorder a per-(row, class) chain). One weight-block sweep serves
-// the entire batch — at 200+ classes the block outgrows L1 and this is the
-// difference between per-point and per-batch memory traffic.
-void EvaluateBatch(const double* soa, std::size_t stride, const double* biases,
-                   const double* features, std::size_t batch, std::size_t feature_stride,
-                   double* scores, std::size_t scores_stride, std::size_t dim,
-                   std::size_t classes);
-
 // Index of the maximum element under the running strict-> scan semantics
 // every argmax in the classifier uses: the FIRST occurrence of the maximum
 // wins ties, and the result is identical across tiers (it is an index, so
@@ -141,6 +126,8 @@ bool EvaluateArgMaxInPrefix(const double* soa, std::size_t stride, const double*
 // Widest feature row FirstArgMaxInPrefix reads through a column list.
 inline constexpr std::size_t kMaxColumns = 32;
 
+struct FireFilter;
+
 // The batched fire check: the index of the FIRST of `batch` rows whose
 // EvaluateArgMaxInPrefix answer is true, or `batch` when none is. Row r's
 // feature i is rows[r * row_stride + columns[i]] for i < dim (dim <=
@@ -149,11 +136,13 @@ inline constexpr std::size_t kMaxColumns = 32;
 // bit-identical to EvaluateArgMaxInPrefix on that row's gathered features,
 // on every tier. The AVX2 tier stops a row's suffix sweep at the first
 // score above the prefix maximum, and evaluates up to four rows at once,
-// one row per vector lane (see simd.cc for when it does).
+// one row per vector lane (see simd.cc for when it does). On blocks too
+// large for that, it screens each row first with `filter` when one is given
+// and matches the block (see FireFilter); the filter changes no answer.
 std::size_t FirstArgMaxInPrefix(const double* soa, std::size_t stride, const double* biases,
                                 const double* rows, std::size_t batch, std::size_t row_stride,
                                 const std::size_t* columns, std::size_t dim, std::size_t split,
-                                std::size_t classes);
+                                std::size_t classes, const FireFilter* filter = nullptr);
 
 // --- Aligned allocation -------------------------------------------------
 
@@ -161,42 +150,129 @@ std::size_t FirstArgMaxInPrefix(const double* soa, std::size_t stride, const dou
 // vectors and keeps each block from straddling lines it doesn't own.
 inline constexpr std::size_t kBlockAlignment = 64;
 
-// Owning, kBlockAlignment-aligned buffer of doubles with value semantics.
-// The hot-path counterpart of std::vector<double> for the classifier's flat
+// Owning, kBlockAlignment-aligned array of trivially copyable values with
+// value semantics. The hot-path counterpart of std::vector for the flat
 // weight/mean blocks: allocation happens at (re)build time only, never
 // inside a kernel.
-class AlignedBuffer {
- public:
-  AlignedBuffer() = default;
-  explicit AlignedBuffer(std::size_t size) { assign(size, 0.0); }
-  AlignedBuffer(const AlignedBuffer& other);
-  AlignedBuffer(AlignedBuffer&& other) noexcept;
-  AlignedBuffer& operator=(const AlignedBuffer& other);
-  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept;
-  ~AlignedBuffer();
+template <typename T>
+class AlignedArray {
+  static_assert(std::is_trivially_copyable_v<T>);
 
-  // Reallocates to `size` doubles, all set to `value`.
-  void assign(std::size_t size, double value);
+ public:
+  AlignedArray() = default;
+  explicit AlignedArray(std::size_t size) { assign(size, T{}); }
+  AlignedArray(const AlignedArray& other) { CopyFrom(other); }
+  AlignedArray(AlignedArray&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+  AlignedArray& operator=(const AlignedArray& other) {
+    if (this != &other) {
+      CopyFrom(other);
+    }
+    return *this;
+  }
+  AlignedArray& operator=(AlignedArray&& other) noexcept {
+    if (this != &other) {
+      Release();
+      data_ = std::exchange(other.data_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
+  ~AlignedArray() { Release(); }
+
+  // Reallocates to `size` elements (keeping the allocation when the size
+  // matches), all set to `value`.
+  void assign(std::size_t size, T value) {
+    if (size != size_) {
+      Release();
+      if (size != 0) {
+        data_ = static_cast<T*>(
+            ::operator new[](size * sizeof(T), std::align_val_t(kBlockAlignment)));
+        size_ = size;
+      }
+    }
+    std::fill(data_, data_ + size_, value);
+  }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  double* data() { return data_; }
-  const double* data() const { return data_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
 
-  double& operator[](std::size_t i) {
+  T& operator[](std::size_t i) {
     assert(i < size_);
     return data_[i];
   }
-  double operator[](std::size_t i) const {
+  T operator[](std::size_t i) const {
     assert(i < size_);
     return data_[i];
   }
 
  private:
-  void Release();
+  void CopyFrom(const AlignedArray& other) {
+    assign(other.size_, T{});
+    std::copy(other.data_, other.data_ + size_, data_);
+  }
+  void Release() {
+    if (data_ != nullptr) {
+      ::operator delete[](data_, std::align_val_t(kBlockAlignment));
+      data_ = nullptr;
+    }
+    size_ = 0;
+  }
 
-  double* data_ = nullptr;
+  T* data_ = nullptr;
   std::size_t size_ = 0;
+};
+
+using AlignedBuffer = AlignedArray<double>;
+
+// --- Floating-point filter ------------------------------------------------
+
+// A single-precision mirror of a weight block whose firing classes are the
+// prefix [0, split), for the filter FirstArgMaxInPrefix runs in front of its
+// exact per-row sweep on large blocks. Per row, the filter scores every
+// class in float and bounds the distance of each float score from the
+// double one; a suffix score above the float prefix maximum by more than
+// twice that bound proves the row does not fire. It never proves the
+// opposite: every row it cannot settle, firing rows included, takes the
+// exact sweep, so answers are bit-identical with or without a filter. The
+// bound and its guards are derived in simd.cc and docs/PERFORMANCE.md
+// ("Floating-point filter").
+//
+// Immutable once built; derived from the double block, never persisted.
+struct FireFilter {
+  // The mirror of FirstArgMaxInPrefix's (soa, stride, biases, dim, split,
+  // classes) block. Empty when no kernel would read it (a scalar-only or
+  // non-x86 build, a block small enough for rows in lanes, an empty side)
+  // and when a weight or bias is outside float range.
+  static FireFilter Build(const double* soa, std::size_t stride, const double* biases,
+                          std::size_t dim, std::size_t split, std::size_t classes);
+
+  bool empty() const { return weights.empty(); }
+  // True when built for exactly this block shape.
+  bool Matches(std::size_t dim_in, std::size_t split_in, std::size_t classes_in) const {
+    return !empty() && dim == dim_in && split == split_in && classes == classes_in;
+  }
+
+  // Feature-major float weights, weights[i * lanes + k]: lanes
+  // [0, prefix_lanes) hold the prefix classes, the rest the suffix classes,
+  // each side padded to a multiple of 8 with copies of its last class (a
+  // copy changes no maximum and no "some score above" test).
+  AlignedArray<float> weights;
+  AlignedArray<float> biases;
+  std::size_t prefix_lanes = 0;
+  std::size_t lanes = 0;
+  // M_i = max_c |w_ci| (zero past dim) and B = max_c |b_c|.
+  std::array<double, kMaxColumns> feature_bound{};
+  double bias_bound = 0.0;
+  // kappa and eta of the per-score error bound kappa * E + eta, where
+  // E = sum_i M_i |f_i| + B.
+  double relative_bound = 0.0;
+  double underflow_bound = 0.0;
+  std::size_t dim = 0;
+  std::size_t split = 0;
+  std::size_t classes = 0;
 };
 
 }  // namespace grandma::linalg::simd

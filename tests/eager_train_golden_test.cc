@@ -1,12 +1,21 @@
-// Trained-model pin (ctest label `golden`): for four seeded corpora, the
-// bytes SaveEagerRecognizer writes after EagerRecognizer::Train, and the
-// train report's mover and tweak-pass figures, must match the line committed
-// in tests/data/trained_models.txt — under every SIMD tier this build and
-// CPU can force. The models serialize every double at max_digits10, so equal
-// bytes mean bit-identical parameters. Any intentional change to training
-// numerics regenerates the file with:
+// Golden pins (ctest label `golden`), both checked under every SIMD tier
+// this build and CPU can force:
 //
-//   GRANDMA_REGEN_GOLDEN=1 ./golden_tests --gtest_filter='*TrainedModelGolden*'
+// - Trained models: for four seeded corpora, the bytes SaveEagerRecognizer
+//   writes after EagerRecognizer::Train, and the train report's mover and
+//   tweak-pass figures, must match the line committed in
+//   tests/data/trained_models.txt. The models serialize every double at
+//   max_digits10, so equal bytes mean bit-identical parameters.
+// - Decisions: every held-out stroke of the same corpora, replayed through
+//   EagerStream::AddSpan in Workspace::kBatchPoints-point chunks, must
+//   reproduce its line in tests/data/golden_decisions/<corpus>.txt: the fire
+//   index, the class, score, probability and Mahalanobis^2 at the fire and
+//   at the stroke end (doubles in hexfloat), and the n-best ids at both.
+//
+// Any intentional change to training or recognition numerics regenerates
+// the files with:
+//
+//   GRANDMA_REGEN_GOLDEN=1 ./golden_tests
 //
 // and the new lines are reviewed like any other source change.
 //
@@ -15,20 +24,24 @@
 // stats.cc are built with -ffp-contract=off; the feature extractor,
 // vector.cc, cholesky.cc and classifier training are not, so a target with
 // FMA (aarch64, or x86-64 with -mfma / -march=native) may contract them and
-// train different bits. The pin holds only where it was generated, and the
-// test skips everywhere else.
+// train different bits. The pins hold only where they were generated, and
+// the tests skip everywhere else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "classify/lexicon_selection.h"
 #include "eager/eager_recognizer.h"
+#include "eager/workspace.h"
 #include "io/serialize.h"
 #include "linalg/simd.h"
 #include "synth/generator.h"
@@ -41,6 +54,8 @@ namespace {
 namespace simd = linalg::simd;
 
 constexpr std::uint64_t kTrainSeed = 1991;
+// Seed of the held-out strokes the decision pin replays.
+constexpr std::uint64_t kHeldOutSeed = 2027;
 
 #if defined(__x86_64__) && !defined(__FMA__) && !defined(__FP_FAST_FMA)
 constexpr bool kPinnedPlatform = true;
@@ -50,17 +65,19 @@ constexpr bool kPinnedPlatform = false;
 
 std::string GoldenPath() { return std::string(GRANDMA_TEST_DATA_DIR) + "/trained_models.txt"; }
 
+std::vector<synth::PathSpec> Lexicon200Specs() {
+  synth::LexiconOptions options;
+  options.num_classes = 200;
+  return synth::MakeExtensiveLexicon(options);
+}
+
 classify::GestureTrainingSet Corpus(const std::vector<synth::PathSpec>& specs,
                                     std::size_t per_class) {
   return synth::ToTrainingSet(
       synth::GenerateSet(specs, synth::NoiseModel{}, per_class, kTrainSeed));
 }
 
-classify::GestureTrainingSet Lexicon200() {
-  synth::LexiconOptions options;
-  options.num_classes = 200;
-  return Corpus(synth::MakeExtensiveLexicon(options), 8);
-}
+classify::GestureTrainingSet Lexicon200() { return Corpus(Lexicon200Specs(), 8); }
 
 // The 50 survivors of SelectLexicon at target 50 over the 200-class corpus,
 // as bench/lexicon_scale selects them.
@@ -192,6 +209,241 @@ TEST_P(TrainedModelGolden, MatchesCommittedLineUnderEveryTier) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpora, TrainedModelGolden,
+                         ::testing::Values("gdp11", "dirs8", "lexicon200", "selected50"),
+                         [](const ::testing::TestParamInfo<const char*>& corpus) {
+                           return std::string(corpus.param);
+                         });
+
+// --- Decision pin --------------------------------------------------------
+
+std::string DecisionsPath(const std::string& name) {
+  return std::string(GRANDMA_TEST_DATA_DIR) + "/golden_decisions/" + name + ".txt";
+}
+
+std::vector<synth::PathSpec> SpecsNamed(const std::string& name) {
+  if (name == "gdp11") {
+    return synth::MakeGdpSpecs();
+  }
+  if (name == "dirs8") {
+    return synth::MakeEightDirectionSpecs();
+  }
+  return Lexicon200Specs();  // lexicon200 and the selected50 subset of it
+}
+
+std::size_t HeldOutPerClass(const std::string& name) {
+  if (name == "lexicon200") {
+    return 3;
+  }
+  return name == "selected50" ? 6 : 10;
+}
+
+constexpr simd::Tier kTiers[] = {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2};
+constexpr std::size_t kNumTiers = sizeof(kTiers) / sizeof(kTiers[0]);
+
+// Class, score and probability are bit-identical across tiers; Mahalanobis^2
+// is not (simd::QuadraticForm sums per-lane partials, see simd.h), so its
+// field holds one '/'-separated slot per kTiers entry, and a rendering under
+// one tier fills only that tier's slot ("*" elsewhere).
+void AppendClassification(std::string& line, const char* tag,
+                          const classify::Classification& c, std::size_t tier_slot) {
+  char field[160];
+  std::snprintf(field, sizeof(field), " %s=%zu,%a,%a %s_m2=", tag, c.class_id, c.score,
+                c.probability, tag);
+  line += field;
+  std::snprintf(field, sizeof(field), "%a", c.mahalanobis_squared);
+  for (std::size_t t = 0; t < kNumTiers; ++t) {
+    line += t == 0 ? "" : "/";
+    line += t == tier_slot ? field : "*";
+  }
+}
+
+// Rewrites every Mahalanobis^2 slot of `text` to edit(slot, value).
+template <typename Edit>
+std::string EditM2Slots(const std::string& text, Edit edit) {
+  std::string out;
+  std::size_t i = 0;
+  for (std::size_t at; (at = text.find("_m2=", i)) != std::string::npos;) {
+    const std::size_t begin = at + 4;
+    const std::size_t end = text.find_first_of(" \n", begin);
+    out.append(text, i, begin - i);
+    std::size_t slot = 0;
+    for (std::size_t s = begin;; ++slot) {
+      const std::size_t slash = text.find('/', s);
+      const std::size_t e = slash < end ? slash : end;
+      out += edit(slot, text.substr(s, e - s));
+      if (e == end) {
+        break;
+      }
+      out += '/';
+      s = e + 1;
+    }
+    i = end;
+  }
+  out.append(text, i);
+  return out;
+}
+
+// `text` with every Mahalanobis^2 slot but `keep` masked.
+std::string KeepSlot(const std::string& text, std::size_t keep) {
+  return EditM2Slots(text, [keep](std::size_t slot, const std::string& v) {
+    return slot == keep ? v : std::string("*");
+  });
+}
+
+void AppendNBestIds(std::string& line, const char* tag,
+                    std::span<const classify::NBestEntry> nbest) {
+  line += ' ';
+  line += tag;
+  line += '=';
+  for (std::size_t k = 0; k < nbest.size(); ++k) {
+    line += (k == 0 ? "" : ",") + std::to_string(nbest[k].class_id);
+  }
+}
+
+// One line per held-out stroke of every class `recognizer` knows, in spec
+// order: the stroke replayed through AddSpan in kBatchPoints-point chunks,
+// then classified at its end.
+std::string DecisionLines(const std::string& name, const eager::EagerRecognizer& recognizer,
+                          std::size_t tier_slot) {
+  const std::vector<synth::LabeledSamples> held_out =
+      synth::GenerateSet(SpecsNamed(name), synth::NoiseModel{}, HeldOutPerClass(name),
+                         kHeldOutSeed);
+  std::string out;
+  eager::EagerStream stream(recognizer);
+  stream.SetNBest(classify::kMaxNBest);
+  for (std::size_t spec = 0; spec < held_out.size(); ++spec) {
+    if (!recognizer.full().registry().Contains(held_out[spec].class_name)) {
+      continue;
+    }
+    for (std::size_t k = 0; k < held_out[spec].samples.size(); ++k) {
+      const std::vector<geom::TimedPoint>& points = held_out[spec].samples[k].gesture.points();
+      stream.Reset();
+      eager::FireEvent fire;
+      for (std::size_t begin = 0; begin < points.size();
+           begin += eager::Workspace::kBatchPoints) {
+        eager::FireEvent chunk_fire;
+        stream.AddSpan(std::span<const geom::TimedPoint>(points).subspan(
+                           begin, std::min(eager::Workspace::kBatchPoints,
+                                           points.size() - begin)),
+                       &chunk_fire);
+        if (chunk_fire.fired) {
+          fire = chunk_fire;
+        }
+      }
+      std::array<classify::NBestEntry, classify::kMaxNBest> end_nbest{};
+      classify::Classification end;
+      const std::size_t end_count = stream.ClassifyNowNBest(end_nbest, &end);
+
+      std::string line = "spec=" + std::to_string(spec) + " sample=" + std::to_string(k) +
+                         " points=" + std::to_string(points.size()) + " fired_at=" +
+                         (fire.fired ? std::to_string(fire.fired_at) : std::string("-"));
+      if (fire.fired) {
+        AppendClassification(line, "fire", fire.classification, tier_slot);
+        AppendNBestIds(line, "fire_nbest",
+                       std::span<const classify::NBestEntry>(fire.nbest.data(),
+                                                             fire.nbest_count));
+      }
+      AppendClassification(line, "end", end, tier_slot);
+      AppendNBestIds(line, "end_nbest",
+                     std::span<const classify::NBestEntry>(end_nbest.data(), end_count));
+      out += line + "\n";
+    }
+  }
+  return out;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// The first line where `actual` and `expected` differ, for the failure text.
+std::string FirstDifference(const std::string& actual, const std::string& expected) {
+  std::istringstream a(actual);
+  std::istringstream e(expected);
+  std::string la;
+  std::string le;
+  for (std::size_t n = 1;; ++n) {
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_e = static_cast<bool>(std::getline(e, le));
+    if (!more_a && !more_e) {
+      return "";
+    }
+    if (!more_a || !more_e || la != le) {
+      return "line " + std::to_string(n) + ":\n  got      " + (more_a ? la : "<eof>") +
+             "\n  expected " + (more_e ? le : "<eof>");
+    }
+  }
+}
+
+class DecisionGolden : public ::testing::TestWithParam<const char*> {
+ protected:
+  void TearDown() override { simd::ResetTier(); }
+};
+
+TEST_P(DecisionGolden, MatchesCommittedFileUnderEveryTier) {
+  if (!kPinnedPlatform) {
+    GTEST_SKIP() << "golden_decisions pins an x86-64 build without FMA; this target may "
+                    "contract multiply-adds outside src/linalg and train other bits";
+  }
+  const std::string name = GetParam();
+  simd::ResetTier();
+  eager::EagerRecognizer recognizer;
+  recognizer.Train(CorpusNamed(name));
+
+  const std::string path = DecisionsPath(name);
+  std::string expected = ReadFile(path);
+  if (std::getenv("GRANDMA_REGEN_GOLDEN") != nullptr) {
+    // Every available tier fills its own Mahalanobis^2 slot; the rest of
+    // each line must agree across tiers.
+    expected.clear();
+    for (std::size_t t = 0; t < kNumTiers; ++t) {
+      if (!simd::ForceTier(kTiers[t])) {
+        continue;
+      }
+      const std::string lines = DecisionLines(name, recognizer, t);
+      if (expected.empty()) {
+        expected = lines;
+        continue;
+      }
+      ASSERT_EQ(KeepSlot(lines, kNumTiers), KeepSlot(expected, kNumTiers))
+          << "tier " << simd::TierName(kTiers[t]) << " disagrees outside Mahalanobis^2";
+      std::vector<std::string> values;
+      EditM2Slots(lines, [&](std::size_t slot, const std::string& v) {
+        if (slot == t) {
+          values.push_back(v);
+        }
+        return v;
+      });
+      std::size_t next = 0;
+      expected = EditM2Slots(expected, [&](std::size_t slot, const std::string& v) {
+        return slot == t ? values[next++] : v;
+      });
+    }
+    std::ofstream out(path, std::ios::trunc);
+    out << expected;
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+  }
+  ASSERT_FALSE(expected.empty()) << "no decisions in " << path
+                                 << " — regenerate with GRANDMA_REGEN_GOLDEN=1";
+
+  std::size_t tiers = 0;
+  for (std::size_t t = 0; t < kNumTiers; ++t) {
+    if (!simd::ForceTier(kTiers[t])) {
+      continue;
+    }
+    ++tiers;
+    const std::string actual = DecisionLines(name, recognizer, t);
+    const std::string pinned = KeepSlot(expected, t);
+    EXPECT_TRUE(actual == pinned) << "tier " << simd::TierName(kTiers[t]) << ", " << path
+                                  << " " << FirstDifference(actual, pinned);
+  }
+  EXPECT_GE(tiers, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpora, DecisionGolden,
                          ::testing::Values("gdp11", "dirs8", "lexicon200", "selected50"),
                          [](const ::testing::TestParamInfo<const char*>& corpus) {
                            return std::string(corpus.param);

@@ -385,19 +385,29 @@ TEST(HotpathAllocTest, AddSpanSteadyStateIsAllocationFree) {
   }
 }
 
-// The classifier's batched evaluator on its own: after training, scoring all
-// classes (single vector and multi-row) touches the heap zero times.
+// The classifier's evaluator on its own, and the batched fire check that
+// production runs instead of a multi-row evaluation (AddSpan over 4-point
+// spans): after training, neither touches the heap.
 TEST(HotpathAllocTest, EvaluateAllIntoIsAllocationFreePerPoint) {
-  const auto& lin = GdpRecognizer().full().linear();
+  const eager::EagerRecognizer& r = GdpRecognizer();
+  const auto& lin = r.full().linear();
   const std::size_t dim = lin.dimension();
   const std::size_t classes = lin.num_classes();
-  std::vector<double> features(4 * dim, 0.25);
-  std::vector<double> scores(4 * classes);
+  const std::vector<double> features(dim, 0.25);
+  std::vector<double> scores(classes);
+  const geom::Gesture stroke = StrokePool().front();
+  eager::EagerStream stream(r);
+  eager::FireEvent fire;
+  FeedInSpans(stream, stroke, 4, fire, [] {});  // sizes the workspace
+  stream.Reset();
   const std::uint64_t allocs = CountAllocations([&] {
     for (int rep = 0; rep < 1000; ++rep) {
       lin.EvaluateAllInto(linalg::VecView(features.data(), dim),
                           linalg::MutVecView(scores.data(), classes));
-      lin.EvaluateBatchInto(features.data(), 4, dim, scores.data(), classes);
+    }
+    for (int rep = 0; rep < 100; ++rep) {
+      FeedInSpans(stream, stroke, 4, fire, [] {});
+      stream.Reset();
     }
   });
   EXPECT_EQ(allocs, 0u);

@@ -293,46 +293,6 @@ TEST(SimdKernelTest, EvaluateAllIsBitIdenticalAcrossTiersAndToRowForm) {
   }
 }
 
-// The paired evaluator must be bit-identical to two single-point calls on
-// every tier — it shares weight loads between the points, never reorders a
-// chain. Class counts cover every block-width tail (16/8/4/2/1 lanes).
-TEST(SimdKernelTest, EvaluateAll2MatchesTwoSingleCallsBitwise) {
-  TierGuard guard;
-  const std::size_t dim = 13;
-  for (std::size_t classes : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-                              std::size_t{8}, std::size_t{11}, std::size_t{15}, std::size_t{16},
-                              std::size_t{17}, std::size_t{26}, std::size_t{33}}) {
-    Rng rng(7000 + classes);
-    const std::size_t stride = (classes + 7) / 8 * 8;
-    AlignedBuffer soa(dim * stride);
-    for (std::size_t i = 0; i < dim; ++i) {
-      for (std::size_t c = 0; c < classes; ++c) {
-        soa[i * stride + c] = rng.Next();
-      }
-    }
-    const std::vector<double> biases = rng.Fill(classes);
-    const std::vector<double> f0 = rng.Fill(dim);
-    const std::vector<double> f1 = rng.Fill(dim);
-    for (Tier t : SupportedTiers()) {
-      ASSERT_TRUE(ForceTier(t));
-      std::vector<double> single0(classes, kNaN);
-      std::vector<double> single1(classes, kNaN);
-      simd::EvaluateAll(soa.data(), stride, biases.data(), f0.data(), dim, single0.data(),
-                        classes);
-      simd::EvaluateAll(soa.data(), stride, biases.data(), f1.data(), dim, single1.data(),
-                        classes);
-      std::vector<double> paired0(classes, kNaN);
-      std::vector<double> paired1(classes, kNaN);
-      simd::EvaluateAll2(soa.data(), stride, biases.data(), f0.data(), f1.data(), dim,
-                         paired0.data(), paired1.data(), classes);
-      for (std::size_t c = 0; c < classes; ++c) {
-        EXPECT_EQ(paired0[c], single0[c]) << TierName(t) << " classes=" << classes << " c=" << c;
-        EXPECT_EQ(paired1[c], single1[c]) << TierName(t) << " classes=" << classes << " c=" << c;
-      }
-    }
-  }
-}
-
 // ArgMax: every tier must return the exact index the running strict->
 // scan keeps — first occurrence of the maximum, NaN never displacing an
 // earlier winner. Lengths straddle every lane boundary; adversarial
@@ -547,10 +507,14 @@ struct PrefixModel {
     return batch;
   }
 
+  // The kernel with the block's floating-point filter (built only above the
+  // rows-in-lanes limit), which must change no answer.
   std::size_t Kernel(const std::vector<double>& rows, std::size_t batch,
                      const std::vector<std::size_t>& columns, std::size_t split) const {
+    const FireFilter filter =
+        FireFilter::Build(soa.data(), stride, biases.data(), columns.size(), split, classes);
     return FirstArgMaxInPrefix(soa.data(), stride, biases.data(), rows.data(), batch, kRowStride,
-                               columns.data(), columns.size(), split, classes);
+                               columns.data(), columns.size(), split, classes, &filter);
   }
 
   // Unprojected snapshot rows: 13 features each, as EagerStream stores them.
@@ -832,49 +796,6 @@ TEST(SimdAlignedBufferTest, ValueSemantics) {
   moved.assign(2, 7.0);
   EXPECT_EQ(moved.data(), before);
   EXPECT_EQ(moved[0], 7.0);
-}
-
-// End-to-end through LinearClassifier: the SoA EvaluateAllInto and the
-// batched EvaluateBatchInto agree bit-exactly with each other and across
-// tiers on a really trained model.
-TEST(SimdClassifierTest, BatchedEvaluationIsBitIdenticalAcrossTiers) {
-  TierGuard guard;
-  classify::FeatureTrainingSet data;
-  Rng rng(7000);
-  const std::size_t dim = 13;
-  for (classify::ClassId c = 0; c < 11; ++c) {
-    for (int e = 0; e < 6; ++e) {
-      Vector f(dim);
-      for (std::size_t i = 0; i < dim; ++i) {
-        f[i] = static_cast<double>(c) + rng.Next();
-      }
-      data.Add(c, f);
-    }
-  }
-  classify::LinearClassifier clf;
-  clf.Train(data);
-  ASSERT_EQ(clf.num_classes(), 11u);
-  EXPECT_EQ(clf.class_stride(), 16u);
-
-  constexpr std::size_t kBatch = 5;
-  const std::vector<double> features = rng.Fill(kBatch * dim);
-
-  std::vector<double> reference(kBatch * clf.num_classes());
-  ASSERT_TRUE(ForceTier(Tier::kScalar));
-  for (std::size_t r = 0; r < kBatch; ++r) {
-    clf.EvaluateAllInto(VecView(features.data() + r * dim, dim),
-                        MutVecView(reference.data() + r * clf.num_classes(),
-                                   clf.num_classes()));
-  }
-
-  for (Tier t : SupportedTiers()) {
-    ASSERT_TRUE(ForceTier(t));
-    std::vector<double> batched(kBatch * clf.num_classes(), kNaN);
-    clf.EvaluateBatchInto(features.data(), kBatch, dim, batched.data(), clf.num_classes());
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      EXPECT_EQ(batched[i], reference[i]) << TierName(t) << " i=" << i;
-    }
-  }
 }
 
 }  // namespace
