@@ -61,9 +61,10 @@ int CmdGenerate(const std::string& set_name, std::size_t per_class, std::uint64_
 }
 
 int CmdTrain(const std::string& in_path, const std::string& out_path) {
-  const auto training = io::LoadGestureSetFile(in_path);
-  if (!training.has_value()) {
-    std::fprintf(stderr, "cannot read gesture set %s\n", in_path.c_str());
+  const auto training = io::LoadGestureSetFileOr(in_path);
+  if (!training.ok()) {
+    std::fprintf(stderr, "cannot read gesture set %s: %s\n", in_path.c_str(),
+                 training.status().ToString().c_str());
     return 1;
   }
   eager::EagerRecognizer recognizer;
@@ -81,14 +82,16 @@ int CmdTrain(const std::string& in_path, const std::string& out_path) {
 }
 
 int CmdEvaluate(const std::string& recognizer_path, const std::string& test_path) {
-  const auto recognizer = io::LoadEagerRecognizerFile(recognizer_path);
-  if (!recognizer.has_value()) {
-    std::fprintf(stderr, "cannot read recognizer %s\n", recognizer_path.c_str());
+  const auto recognizer = io::LoadEagerRecognizerFileOr(recognizer_path);
+  if (!recognizer.ok()) {
+    std::fprintf(stderr, "cannot read recognizer %s: %s\n", recognizer_path.c_str(),
+                 recognizer.status().ToString().c_str());
     return 1;
   }
-  const auto test = io::LoadGestureSetFile(test_path);
-  if (!test.has_value()) {
-    std::fprintf(stderr, "cannot read gesture set %s\n", test_path.c_str());
+  const auto test = io::LoadGestureSetFileOr(test_path);
+  if (!test.ok()) {
+    std::fprintf(stderr, "cannot read gesture set %s: %s\n", test_path.c_str(),
+                 test.status().ToString().c_str());
     return 1;
   }
   classify::ConfusionMatrix cm(recognizer->num_classes());
@@ -104,7 +107,7 @@ int CmdEvaluate(const std::string& recognizer_path, const std::string& test_path
 }
 
 int CmdInfo(const std::string& path) {
-  if (const auto set = io::LoadGestureSetFile(path)) {
+  if (const auto set = io::LoadGestureSetFileOr(path); set.ok()) {
     std::printf("%s: gesture set, %zu classes, %zu examples\n", path.c_str(),
                 set->num_classes(), set->total_examples());
     for (classify::ClassId c = 0; c < set->num_classes(); ++c) {
@@ -113,7 +116,7 @@ int CmdInfo(const std::string& path) {
     }
     return 0;
   }
-  if (const auto recognizer = io::LoadEagerRecognizerFile(path)) {
+  if (const auto recognizer = io::LoadEagerRecognizerFileOr(path); recognizer.ok()) {
     std::printf("%s: eager recognizer, %zu classes, %zu features, AUC sets: %zu\n",
                 path.c_str(), recognizer->num_classes(),
                 recognizer->full().linear().dimension(), recognizer->auc().num_sets());

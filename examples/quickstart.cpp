@@ -91,8 +91,8 @@ int main() {
   // 5. Persist the trained recognizer and reload it.
   const char* path = "/tmp/quickstart.recognizer";
   io::SaveEagerRecognizerFile(eager_recognizer, path);
-  const auto loaded = io::LoadEagerRecognizerFile(path);
+  const auto loaded = io::LoadEagerRecognizerFileOr(path);
   std::printf("saved + reloaded recognizer: %s\n",
-              loaded.has_value() && loaded->trained() ? "ok" : "FAILED");
+              loaded.ok() && loaded->trained() ? "ok" : loaded.status().ToString().c_str());
   return 0;
 }

@@ -8,9 +8,9 @@
 // its more crowded member, reporting every drop and why.
 //
 // Everything here is deterministic and SIMD-tier-independent: pairwise
-// separations use the non-dispatched linalg::QuadraticDistances (each
-// bit-identical to linalg::QuadraticForm on the mean difference) and the
-// confusion matrix comes from Classify, which is bit-identical across
+// separations use linalg::QuadraticDistances (each bit-identical to
+// linalg::QuadraticForm on the mean difference, on every dispatch tier) and
+// the confusion matrix comes from Classify, which is bit-identical across
 // dispatch tiers — so the same seed and training set produce byte-identical
 // reports on any hardware.
 #ifndef GRANDMA_SRC_CLASSIFY_LEXICON_SELECTION_H_

@@ -1,5 +1,6 @@
 #include "eager/subgesture_labeler.h"
 
+#include <array>
 #include <vector>
 
 #include "features/extractor.h"
@@ -32,9 +33,13 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
   partition.incomplete_sets.resize(num_classes);
 
   const std::size_t min_prefix = std::max<std::size_t>(options.min_prefix_points, 1);
-  // Score scratch for the prefix verdicts, reused across every prefix.
+  // Score and full-feature scratch for the prefix verdicts, reused across
+  // every prefix; each prefix's masked features are written straight into
+  // its subgesture's own vector.
   std::vector<double> scores(full.linear().num_classes());
   const linalg::MutVecView scores_view(scores.data(), scores.size());
+  std::array<double, features::kNumFeatures> unmasked{};
+  const std::size_t masked_dim = full.mask().count();
 
   for (classify::ClassId c = 0; c < training.num_classes(); ++c) {
     for (const geom::Gesture& g : training.ExamplesOf(c)) {
@@ -47,6 +52,7 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
       // Incremental pass: one feature snapshot per prefix, O(|g|) total.
       features::FeatureExtractor fx;
       std::vector<LabeledSubgesture> subs;
+      subs.reserve(g.size() - (min_prefix - 1));
       for (std::size_t i = 0; i < g.size(); ++i) {
         fx.AddPoint(g[i]);
         const std::size_t len = i + 1;
@@ -54,7 +60,10 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
           continue;
         }
         LabeledSubgesture sub;
-        sub.features = full.mask().Project(fx.Features());
+        fx.FeaturesInto(linalg::MutVecView(unmasked.data(), unmasked.size()));
+        sub.features = linalg::Vector(masked_dim);
+        full.mask().ProjectInto(linalg::VecView(unmasked.data(), unmasked.size()),
+                                sub.features.view());
         sub.prefix_len = len;
         sub.gesture_len = g.size();
         sub.true_class = c;

@@ -5,9 +5,9 @@
 #include <iomanip>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -386,14 +386,6 @@ robust::StatusOr<classify::GestureTrainingSet> LoadGestureSetOr(std::istream& in
                                               ReadGestureSetBody);
 }
 
-std::optional<classify::GestureTrainingSet> LoadGestureSet(std::istream& in) {
-  auto loaded = LoadGestureSetOr(in);
-  if (!loaded.ok()) {
-    return std::nullopt;
-  }
-  return std::move(*loaded);
-}
-
 // --- Classifiers ---
 
 bool SaveClassifier(const classify::GestureClassifier& classifier, std::ostream& out) {
@@ -408,14 +400,6 @@ bool SaveClassifier(const classify::GestureClassifier& classifier, std::ostream&
 robust::StatusOr<classify::GestureClassifier> LoadClassifierOr(std::istream& in) {
   return LoadOr<classify::GestureClassifier>(in, kClassifierFamily, "classifier",
                                              ReadGestureClassifierBody);
-}
-
-std::optional<classify::GestureClassifier> LoadClassifier(std::istream& in) {
-  auto loaded = LoadClassifierOr(in);
-  if (!loaded.ok()) {
-    return std::nullopt;
-  }
-  return std::move(*loaded);
 }
 
 // --- Eager recognizers ---
@@ -460,14 +444,6 @@ robust::StatusOr<eager::EagerRecognizer> LoadEagerRecognizerOr(std::istream& in)
   return LoadOr<eager::EagerRecognizer>(in, kEagerFamily, "eager recognizer", ReadEagerBody);
 }
 
-std::optional<eager::EagerRecognizer> LoadEagerRecognizer(std::istream& in) {
-  auto loaded = LoadEagerRecognizerOr(in);
-  if (!loaded.ok()) {
-    return std::nullopt;
-  }
-  return std::move(*loaded);
-}
-
 // --- File wrappers ---
 
 namespace {
@@ -486,15 +462,6 @@ auto LoadFileOr(LoadFn fn, const std::string& path)
   }
   return fn(in);
 }
-template <typename LoadFn>
-auto ShimFile(LoadFn fn, const std::string& path)
-    -> std::optional<std::decay_t<decltype(fn(path).value())>> {
-  auto loaded = fn(path);
-  if (!loaded.ok()) {
-    return std::nullopt;
-  }
-  return std::move(*loaded);
-}
 }  // namespace
 
 bool SaveGestureSetFile(const classify::GestureTrainingSet& set, const std::string& path) {
@@ -503,26 +470,17 @@ bool SaveGestureSetFile(const classify::GestureTrainingSet& set, const std::stri
 robust::StatusOr<classify::GestureTrainingSet> LoadGestureSetFileOr(const std::string& path) {
   return LoadFileOr(LoadGestureSetOr, path);
 }
-std::optional<classify::GestureTrainingSet> LoadGestureSetFile(const std::string& path) {
-  return ShimFile(LoadGestureSetFileOr, path);
-}
 bool SaveClassifierFile(const classify::GestureClassifier& classifier, const std::string& path) {
   return SaveFile(SaveClassifier, classifier, path);
 }
 robust::StatusOr<classify::GestureClassifier> LoadClassifierFileOr(const std::string& path) {
   return LoadFileOr(LoadClassifierOr, path);
 }
-std::optional<classify::GestureClassifier> LoadClassifierFile(const std::string& path) {
-  return ShimFile(LoadClassifierFileOr, path);
-}
 bool SaveEagerRecognizerFile(const eager::EagerRecognizer& recognizer, const std::string& path) {
   return SaveFile(SaveEagerRecognizer, recognizer, path);
 }
 robust::StatusOr<eager::EagerRecognizer> LoadEagerRecognizerFileOr(const std::string& path) {
   return LoadFileOr(LoadEagerRecognizerOr, path);
-}
-std::optional<eager::EagerRecognizer> LoadEagerRecognizerFile(const std::string& path) {
-  return ShimFile(LoadEagerRecognizerFileOr, path);
 }
 
 }  // namespace grandma::io

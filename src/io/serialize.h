@@ -5,19 +5,16 @@
 // Formats are line-oriented, versioned, and locale-independent (numbers are
 // written with max round-trip precision).
 //
-// The ...Or loaders are the primary API: they return robust::StatusOr with a
-// precise failure reason — kTruncated (stream ended mid-parse),
-// kVersionMismatch (right file family, unknown format version),
-// kCorruptSnapshot (wrong family or malformed contents),
-// kFailedPrecondition (file loaders only: the file cannot be opened). The
-// std::optional flavors are thin shims kept for existing callers; they drop
-// the reason. All file savers write atomically (io/atomic_file.h): temp
+// The ...Or loaders return robust::StatusOr with a precise failure reason —
+// kTruncated (stream ended mid-parse), kVersionMismatch (right file family,
+// unknown format version), kCorruptSnapshot (wrong family or malformed
+// contents), kFailedPrecondition (file loaders only: the file cannot be
+// opened). All file savers write atomically (io/atomic_file.h): temp
 // sibling + rename, so a crash mid-save never tears the destination.
 #ifndef GRANDMA_SRC_IO_SERIALIZE_H_
 #define GRANDMA_SRC_IO_SERIALIZE_H_
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "classify/gesture_classifier.h"
@@ -36,10 +33,6 @@ bool SaveGestureSetFile(const classify::GestureTrainingSet& set, const std::stri
 robust::StatusOr<classify::GestureTrainingSet> LoadGestureSetOr(std::istream& in);
 robust::StatusOr<classify::GestureTrainingSet> LoadGestureSetFileOr(const std::string& path);
 
-// Shims over the Or flavors; std::nullopt on any failure.
-std::optional<classify::GestureTrainingSet> LoadGestureSet(std::istream& in);
-std::optional<classify::GestureTrainingSet> LoadGestureSetFile(const std::string& path);
-
 // --- Trained full classifiers ---
 
 bool SaveClassifier(const classify::GestureClassifier& classifier, std::ostream& out);
@@ -48,9 +41,6 @@ bool SaveClassifierFile(const classify::GestureClassifier& classifier, const std
 robust::StatusOr<classify::GestureClassifier> LoadClassifierOr(std::istream& in);
 robust::StatusOr<classify::GestureClassifier> LoadClassifierFileOr(const std::string& path);
 
-std::optional<classify::GestureClassifier> LoadClassifier(std::istream& in);
-std::optional<classify::GestureClassifier> LoadClassifierFile(const std::string& path);
-
 // --- Trained eager recognizers (full classifier + AUC) ---
 
 bool SaveEagerRecognizer(const eager::EagerRecognizer& recognizer, std::ostream& out);
@@ -58,9 +48,6 @@ bool SaveEagerRecognizerFile(const eager::EagerRecognizer& recognizer, const std
 
 robust::StatusOr<eager::EagerRecognizer> LoadEagerRecognizerOr(std::istream& in);
 robust::StatusOr<eager::EagerRecognizer> LoadEagerRecognizerFileOr(const std::string& path);
-
-std::optional<eager::EagerRecognizer> LoadEagerRecognizer(std::istream& in);
-std::optional<eager::EagerRecognizer> LoadEagerRecognizerFile(const std::string& path);
 
 }  // namespace grandma::io
 

@@ -153,7 +153,7 @@ robust::StatusOr<T> LoadSnapshot(const char* kind, Loader loader, std::istream& 
   }
   std::istringstream body(*payload);
   auto value = loader(body);
-  if (!value.has_value()) {
+  if (!value.ok()) {
     // The CRC matched, so the payload is what the writer produced — a parse
     // failure here means the writer itself emitted something unreadable.
     return robust::Status::CorruptSnapshot(std::string("snapshot: CRC-valid ") + kind +
@@ -220,7 +220,7 @@ bool SaveClassifierSnapshot(const classify::GestureClassifier& classifier, std::
 
 robust::StatusOr<classify::GestureClassifier> LoadClassifierSnapshot(std::istream& in) {
   return LoadSnapshot<classify::GestureClassifier>(
-      KindName('c'), [](std::istream& body) { return LoadClassifier(body); }, in);
+      KindName('c'), [](std::istream& body) { return LoadClassifierOr(body); }, in);
 }
 
 robust::Status SaveClassifierSnapshotFile(const classify::GestureClassifier& classifier,
@@ -243,7 +243,7 @@ bool SaveEagerSnapshot(const eager::EagerRecognizer& recognizer, std::ostream& o
 
 robust::StatusOr<eager::EagerRecognizer> LoadEagerSnapshot(std::istream& in) {
   return LoadSnapshot<eager::EagerRecognizer>(
-      KindName('e'), [](std::istream& body) { return LoadEagerRecognizer(body); }, in);
+      KindName('e'), [](std::istream& body) { return LoadEagerRecognizerOr(body); }, in);
 }
 
 robust::Status SaveEagerSnapshotFile(const eager::EagerRecognizer& recognizer,
@@ -269,13 +269,13 @@ robust::StatusOr<BundleSnapshot> LoadBundleSnapshot(std::istream& in) {
     return payload.status();
   }
   std::istringstream body(*payload);
-  auto classifier = LoadClassifier(body);
-  if (!classifier.has_value()) {
+  auto classifier = LoadClassifierOr(body);
+  if (!classifier.ok()) {
     return robust::Status::CorruptSnapshot(
         "snapshot: CRC-valid bundle classifier section failed to parse");
   }
-  auto recognizer = LoadEagerRecognizer(body);
-  if (!recognizer.has_value()) {
+  auto recognizer = LoadEagerRecognizerOr(body);
+  if (!recognizer.ok()) {
     return robust::Status::CorruptSnapshot(
         "snapshot: CRC-valid bundle eager section failed to parse");
   }

@@ -1,9 +1,10 @@
 #include "linalg/matrix.h"
 
-#include <cassert>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+
+#include "linalg/simd.h"
 
 namespace grandma::linalg {
 
@@ -51,16 +52,6 @@ Matrix Matrix::Outer(const Vector& a, const Vector& b) {
     }
   }
   return m;
-}
-
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  assert(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  assert(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
 }
 
 double& Matrix::at(std::size_t r, std::size_t c) {
@@ -205,14 +196,10 @@ double QuadraticForm(const Vector& x, const Matrix& m, const Vector& y) {
 }
 
 double QuadraticForm(VecView x, const Matrix& m, VecView y) {
-  if (m.rows() != x.size() || m.cols() != y.size()) {
+  if (m.rows() != x.size() || m.cols() != y.size() || x.size() != y.size()) {
     throw std::invalid_argument("QuadraticForm: dimension mismatch");
   }
-  double sum = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum += x[i] * Dot(m.RowView(i), y);
-  }
-  return sum;
+  return simd::QuadraticForm(x, m.data(), y);
 }
 
 void QuadraticDistances(VecView x, const Matrix& m, const double* points, std::size_t stride,
@@ -221,46 +208,7 @@ void QuadraticDistances(VecView x, const Matrix& m, const double* points, std::s
   if (m.rows() != n || m.cols() != n) {
     throw std::invalid_argument("QuadraticDistances: dimension mismatch");
   }
-  constexpr std::size_t kLanes = 4;
-  const std::size_t count = out.size();
-  std::size_t k = 0;
-  for (; k + kLanes <= count; k += kLanes) {
-    const double* p = points + k;
-    double sum[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* row = m.data() + i * n;
-      double dot[kLanes] = {0.0, 0.0, 0.0, 0.0};
-      for (std::size_t j = 0; j < n; ++j) {
-        const double mij = row[j];
-        const double xj = x[j];
-        const double* pj = p + j * stride;
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          dot[l] += mij * (xj - pj[l]);
-        }
-      }
-      const double xi = x[i];
-      const double* pi = p + i * stride;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        sum[l] += (xi - pi[l]) * dot[l];
-      }
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      out[k + l] = sum[l];
-    }
-  }
-  for (; k < count; ++k) {
-    const double* p = points + k;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* row = m.data() + i * n;
-      double dot = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        dot += row[j] * (x[j] - p[j * stride]);
-      }
-      sum += (x[i] - p[i * stride]) * dot;
-    }
-    out[k] = sum;
-  }
+  simd::QuadraticDistances(x, m.data(), points, stride, out);
 }
 
 std::vector<double> FeatureMajorBlock(const std::vector<const Vector*>& points) {

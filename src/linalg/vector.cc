@@ -1,6 +1,5 @@
 #include "linalg/vector.h"
 
-#include <cassert>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -15,16 +14,6 @@ void CheckSameSize(const Vector& a, const Vector& b, const char* op) {
   }
 }
 }  // namespace
-
-double& Vector::operator[](std::size_t i) {
-  assert(i < data_.size());
-  return data_[i];
-}
-
-double Vector::operator[](std::size_t i) const {
-  assert(i < data_.size());
-  return data_[i];
-}
 
 Vector& Vector::operator+=(const Vector& rhs) {
   CheckSameSize(*this, rhs, "operator+=");

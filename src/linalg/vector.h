@@ -4,6 +4,7 @@
 #ifndef GRANDMA_SRC_LINALG_VECTOR_H_
 #define GRANDMA_SRC_LINALG_VECTOR_H_
 
+#include <cassert>
 #include <cstddef>
 #include <initializer_list>
 #include <string>
@@ -33,8 +34,14 @@ class Vector {
 
   // Assert-checked access: bounds are verified in debug builds only; an
   // out-of-range index in a release (NDEBUG) build is undefined behavior.
-  double& operator[](std::size_t i);
-  double operator[](std::size_t i) const;
+  double& operator[](std::size_t i) {
+    assert(i < data_.size());
+    return data_[i];
+  }
+  double operator[](std::size_t i) const {
+    assert(i < data_.size());
+    return data_[i];
+  }
 
   // Checked access: throws std::out_of_range on a bad index in all builds.
   double& at(std::size_t i) { return data_.at(i); }

@@ -237,57 +237,14 @@ std::size_t HeldOutPerClass(const std::string& name) {
   return name == "selected50" ? 6 : 10;
 }
 
-constexpr simd::Tier kTiers[] = {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2};
-constexpr std::size_t kNumTiers = sizeof(kTiers) / sizeof(kTiers[0]);
-
-// Class, score and probability are bit-identical across tiers; Mahalanobis^2
-// is not (simd::QuadraticForm sums per-lane partials, see simd.h), so its
-// field holds one '/'-separated slot per kTiers entry, and a rendering under
-// one tier fills only that tier's slot ("*" elsewhere).
+// Class, score, probability and Mahalanobis^2 are all bit-identical across
+// tiers, so one line serves every tier.
 void AppendClassification(std::string& line, const char* tag,
-                          const classify::Classification& c, std::size_t tier_slot) {
-  char field[160];
-  std::snprintf(field, sizeof(field), " %s=%zu,%a,%a %s_m2=", tag, c.class_id, c.score,
-                c.probability, tag);
+                          const classify::Classification& c) {
+  char field[192];
+  std::snprintf(field, sizeof(field), " %s=%zu,%a,%a %s_m2=%a", tag, c.class_id, c.score,
+                c.probability, tag, c.mahalanobis_squared);
   line += field;
-  std::snprintf(field, sizeof(field), "%a", c.mahalanobis_squared);
-  for (std::size_t t = 0; t < kNumTiers; ++t) {
-    line += t == 0 ? "" : "/";
-    line += t == tier_slot ? field : "*";
-  }
-}
-
-// Rewrites every Mahalanobis^2 slot of `text` to edit(slot, value).
-template <typename Edit>
-std::string EditM2Slots(const std::string& text, Edit edit) {
-  std::string out;
-  std::size_t i = 0;
-  for (std::size_t at; (at = text.find("_m2=", i)) != std::string::npos;) {
-    const std::size_t begin = at + 4;
-    const std::size_t end = text.find_first_of(" \n", begin);
-    out.append(text, i, begin - i);
-    std::size_t slot = 0;
-    for (std::size_t s = begin;; ++slot) {
-      const std::size_t slash = text.find('/', s);
-      const std::size_t e = slash < end ? slash : end;
-      out += edit(slot, text.substr(s, e - s));
-      if (e == end) {
-        break;
-      }
-      out += '/';
-      s = e + 1;
-    }
-    i = end;
-  }
-  out.append(text, i);
-  return out;
-}
-
-// `text` with every Mahalanobis^2 slot but `keep` masked.
-std::string KeepSlot(const std::string& text, std::size_t keep) {
-  return EditM2Slots(text, [keep](std::size_t slot, const std::string& v) {
-    return slot == keep ? v : std::string("*");
-  });
 }
 
 void AppendNBestIds(std::string& line, const char* tag,
@@ -303,8 +260,7 @@ void AppendNBestIds(std::string& line, const char* tag,
 // One line per held-out stroke of every class `recognizer` knows, in spec
 // order: the stroke replayed through AddSpan in kBatchPoints-point chunks,
 // then classified at its end.
-std::string DecisionLines(const std::string& name, const eager::EagerRecognizer& recognizer,
-                          std::size_t tier_slot) {
+std::string DecisionLines(const std::string& name, const eager::EagerRecognizer& recognizer) {
   const std::vector<synth::LabeledSamples> held_out =
       synth::GenerateSet(SpecsNamed(name), synth::NoiseModel{}, HeldOutPerClass(name),
                          kHeldOutSeed);
@@ -338,12 +294,12 @@ std::string DecisionLines(const std::string& name, const eager::EagerRecognizer&
                          " points=" + std::to_string(points.size()) + " fired_at=" +
                          (fire.fired ? std::to_string(fire.fired_at) : std::string("-"));
       if (fire.fired) {
-        AppendClassification(line, "fire", fire.classification, tier_slot);
+        AppendClassification(line, "fire", fire.classification);
         AppendNBestIds(line, "fire_nbest",
                        std::span<const classify::NBestEntry>(fire.nbest.data(),
                                                              fire.nbest_count));
       }
-      AppendClassification(line, "end", end, tier_slot);
+      AppendClassification(line, "end", end);
       AppendNBestIds(line, "end_nbest",
                      std::span<const classify::NBestEntry>(end_nbest.data(), end_count));
       out += line + "\n";
@@ -396,32 +352,7 @@ TEST_P(DecisionGolden, MatchesCommittedFileUnderEveryTier) {
   const std::string path = DecisionsPath(name);
   std::string expected = ReadFile(path);
   if (std::getenv("GRANDMA_REGEN_GOLDEN") != nullptr) {
-    // Every available tier fills its own Mahalanobis^2 slot; the rest of
-    // each line must agree across tiers.
-    expected.clear();
-    for (std::size_t t = 0; t < kNumTiers; ++t) {
-      if (!simd::ForceTier(kTiers[t])) {
-        continue;
-      }
-      const std::string lines = DecisionLines(name, recognizer, t);
-      if (expected.empty()) {
-        expected = lines;
-        continue;
-      }
-      ASSERT_EQ(KeepSlot(lines, kNumTiers), KeepSlot(expected, kNumTiers))
-          << "tier " << simd::TierName(kTiers[t]) << " disagrees outside Mahalanobis^2";
-      std::vector<std::string> values;
-      EditM2Slots(lines, [&](std::size_t slot, const std::string& v) {
-        if (slot == t) {
-          values.push_back(v);
-        }
-        return v;
-      });
-      std::size_t next = 0;
-      expected = EditM2Slots(expected, [&](std::size_t slot, const std::string& v) {
-        return slot == t ? values[next++] : v;
-      });
-    }
+    expected = DecisionLines(name, recognizer);
     std::ofstream out(path, std::ios::trunc);
     out << expected;
     ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -430,15 +361,14 @@ TEST_P(DecisionGolden, MatchesCommittedFileUnderEveryTier) {
                                  << " — regenerate with GRANDMA_REGEN_GOLDEN=1";
 
   std::size_t tiers = 0;
-  for (std::size_t t = 0; t < kNumTiers; ++t) {
-    if (!simd::ForceTier(kTiers[t])) {
+  for (const simd::Tier t : {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    if (!simd::ForceTier(t)) {
       continue;
     }
     ++tiers;
-    const std::string actual = DecisionLines(name, recognizer, t);
-    const std::string pinned = KeepSlot(expected, t);
-    EXPECT_TRUE(actual == pinned) << "tier " << simd::TierName(kTiers[t]) << ", " << path
-                                  << " " << FirstDifference(actual, pinned);
+    const std::string actual = DecisionLines(name, recognizer);
+    EXPECT_TRUE(actual == expected) << "tier " << simd::TierName(t) << ", " << path << " "
+                                    << FirstDifference(actual, expected);
   }
   EXPECT_GE(tiers, 1u);
 }

@@ -28,16 +28,16 @@ TEST(IntegrationTest, FullPipelineFromSynthesisToInteraction) {
   ASSERT_TRUE(io::SaveGestureSet(original, set_buffer));
 
   // 2. Reload and train.
-  auto reloaded_set = io::LoadGestureSet(set_buffer);
-  ASSERT_TRUE(reloaded_set.has_value());
+  auto reloaded_set = io::LoadGestureSetOr(set_buffer);
+  ASSERT_TRUE(reloaded_set.ok()) << reloaded_set.status().ToString();
   eager::EagerRecognizer trained;
   trained.Train(*reloaded_set);
 
   // 3. Persist and reload the trained recognizer.
   std::stringstream recognizer_buffer;
   ASSERT_TRUE(io::SaveEagerRecognizer(trained, recognizer_buffer));
-  auto recognizer = io::LoadEagerRecognizer(recognizer_buffer);
-  ASSERT_TRUE(recognizer.has_value());
+  auto recognizer = io::LoadEagerRecognizerOr(recognizer_buffer);
+  ASSERT_TRUE(recognizer.ok()) << recognizer.status().ToString();
 
   // 4. The reloaded recognizer performs on fresh test data.
   const auto test = synth::GenerateSet(specs, noise, 10, 77);

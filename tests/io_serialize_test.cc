@@ -25,8 +25,8 @@ TEST(GestureSetIoTest, RoundTripPreservesEverything) {
   const classify::GestureTrainingSet original = MakeTrainingSet();
   std::stringstream buffer;
   ASSERT_TRUE(SaveGestureSet(original, buffer));
-  const auto loaded = LoadGestureSet(buffer);
-  ASSERT_TRUE(loaded.has_value());
+  const auto loaded = LoadGestureSetOr(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->num_classes(), original.num_classes());
   EXPECT_EQ(loaded->total_examples(), original.total_examples());
   for (classify::ClassId c = 0; c < original.num_classes(); ++c) {
@@ -40,7 +40,7 @@ TEST(GestureSetIoTest, RoundTripPreservesEverything) {
 
 TEST(GestureSetIoTest, RejectsWrongHeader) {
   std::stringstream buffer("some-other-format v9\n");
-  EXPECT_FALSE(LoadGestureSet(buffer).has_value());
+  EXPECT_EQ(LoadGestureSetOr(buffer).status().code(), robust::StatusCode::kCorruptSnapshot);
 }
 
 TEST(GestureSetIoTest, RejectsTruncated) {
@@ -50,7 +50,7 @@ TEST(GestureSetIoTest, RejectsTruncated) {
   std::string text = buffer.str();
   text.resize(text.size() / 2);
   std::stringstream truncated(text);
-  EXPECT_FALSE(LoadGestureSet(truncated).has_value());
+  EXPECT_EQ(LoadGestureSetOr(truncated).status().code(), robust::StatusCode::kTruncated);
 }
 
 TEST(GestureSetIoTest, RejectsClassNameWithSpaces) {
@@ -67,8 +67,8 @@ TEST(ClassifierIoTest, RoundTripClassifiesIdentically) {
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveClassifier(classifier, buffer));
-  const auto loaded = LoadClassifier(buffer);
-  ASSERT_TRUE(loaded.has_value());
+  const auto loaded = LoadClassifierOr(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_classes(), classifier.num_classes());
   EXPECT_EQ(loaded->ClassName(0), classifier.ClassName(0));
 
@@ -98,8 +98,8 @@ TEST(EagerIoTest, RoundTripFiresIdentically) {
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveEagerRecognizer(recognizer, buffer));
-  const auto loaded = LoadEagerRecognizer(buffer);
-  ASSERT_TRUE(loaded.has_value());
+  const auto loaded = LoadEagerRecognizerOr(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->min_prefix_points(), recognizer.min_prefix_points());
 
   synth::NoiseModel noise;
@@ -124,7 +124,7 @@ TEST(EagerIoTest, RejectsGarbageAucMode) {
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 15, "auc_mode bogus!");
   std::stringstream bad(text);
-  EXPECT_FALSE(LoadEagerRecognizer(bad).has_value());
+  EXPECT_EQ(LoadEagerRecognizerOr(bad).status().code(), robust::StatusCode::kCorruptSnapshot);
 }
 
 // A file whose AUC section was trained on all 13 features but whose full
@@ -151,14 +151,15 @@ TEST(EagerIoTest, RejectsAucDimensionOtherThanTheMaskCount) {
   ASSERT_NE(g_auc, std::string::npos);
 
   std::stringstream spliced(g.substr(0, g_auc) + a.substr(a_auc));
-  EXPECT_FALSE(LoadEagerRecognizer(spliced).has_value());
+  EXPECT_EQ(LoadEagerRecognizerOr(spliced).status().code(),
+            robust::StatusCode::kCorruptSnapshot);
   std::stringstream intact(g);
-  EXPECT_TRUE(LoadEagerRecognizer(intact).has_value());
+  EXPECT_TRUE(LoadEagerRecognizerOr(intact).ok());
 }
 
 // Fuzz-style hardening tests: truncation at every prefix and seeded byte
-// mutations across all three formats must yield nullopt or a value — never a
-// crash, an uncaught exception, or a giant allocation.
+// mutations across all three formats must yield a Status or a value — never
+// a crash, an uncaught exception, or a giant allocation.
 
 template <typename Loader>
 void CheckEveryPrefix(const std::string& text, Loader load) {
@@ -186,8 +187,8 @@ TEST(FuzzIoTest, GestureSetSurvivesTruncationAndMutation) {
   std::stringstream buffer;
   ASSERT_TRUE(SaveGestureSet(MakeTrainingSet(), buffer));
   const std::string text = buffer.str();
-  CheckEveryPrefix(text, [](std::istream& in) { return LoadGestureSet(in); });
-  CheckSeededMutations(text, [](std::istream& in) { return LoadGestureSet(in); }, 101);
+  CheckEveryPrefix(text, [](std::istream& in) { return LoadGestureSetOr(in); });
+  CheckSeededMutations(text, [](std::istream& in) { return LoadGestureSetOr(in); }, 101);
 }
 
 TEST(FuzzIoTest, ClassifierSurvivesTruncationAndMutation) {
@@ -196,8 +197,8 @@ TEST(FuzzIoTest, ClassifierSurvivesTruncationAndMutation) {
   std::stringstream buffer;
   ASSERT_TRUE(SaveClassifier(classifier, buffer));
   const std::string text = buffer.str();
-  CheckEveryPrefix(text, [](std::istream& in) { return LoadClassifier(in); });
-  CheckSeededMutations(text, [](std::istream& in) { return LoadClassifier(in); }, 202);
+  CheckEveryPrefix(text, [](std::istream& in) { return LoadClassifierOr(in); });
+  CheckSeededMutations(text, [](std::istream& in) { return LoadClassifierOr(in); }, 202);
 }
 
 TEST(FuzzIoTest, EagerRecognizerSurvivesTruncationAndMutation) {
@@ -206,27 +207,27 @@ TEST(FuzzIoTest, EagerRecognizerSurvivesTruncationAndMutation) {
   std::stringstream buffer;
   ASSERT_TRUE(SaveEagerRecognizer(recognizer, buffer));
   const std::string text = buffer.str();
-  CheckEveryPrefix(text, [](std::istream& in) { return LoadEagerRecognizer(in); });
-  CheckSeededMutations(text, [](std::istream& in) { return LoadEagerRecognizer(in); }, 303);
+  CheckEveryPrefix(text, [](std::istream& in) { return LoadEagerRecognizerOr(in); });
+  CheckSeededMutations(text, [](std::istream& in) { return LoadEagerRecognizerOr(in); }, 303);
 }
 
 TEST(FuzzIoTest, HugeDeclaredCountsAreRejectedNotAllocated) {
   // Corrupt headers declaring absurd sizes must fail by parse error.
   std::stringstream s1("grandma-gestureset v1\nclasses 18446744073709551615\n");
-  EXPECT_FALSE(LoadGestureSet(s1).has_value());
+  EXPECT_EQ(LoadGestureSetOr(s1).status().code(), robust::StatusCode::kCorruptSnapshot);
   std::stringstream s2("grandma-gestureset v1\nclasses 1\nclass x 99999999999\n");
-  EXPECT_FALSE(LoadGestureSet(s2).has_value());
+  EXPECT_EQ(LoadGestureSetOr(s2).status().code(), robust::StatusCode::kCorruptSnapshot);
 }
 
 TEST(FileIoTest, FileRoundTripAndMissingFile) {
   const classify::GestureTrainingSet original = MakeTrainingSet();
   const std::string path = "/tmp/grandma_io_test.gestureset";
   ASSERT_TRUE(SaveGestureSetFile(original, path));
-  const auto loaded = LoadGestureSetFile(path);
-  ASSERT_TRUE(loaded.has_value());
+  const auto loaded = LoadGestureSetFileOr(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->total_examples(), original.total_examples());
   std::remove(path.c_str());
-  EXPECT_FALSE(LoadGestureSetFile(path).has_value());
+  EXPECT_EQ(LoadGestureSetFileOr(path).status().code(), robust::StatusCode::kFailedPrecondition);
   EXPECT_FALSE(SaveGestureSetFile(original, "/nonexistent-dir/x"));
 }
 

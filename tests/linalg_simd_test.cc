@@ -1,9 +1,7 @@
 // Kernel-equivalence property tests for the dispatch ladder in
 // linalg/simd.h: every tier the build/CPU supports is forced in turn and
-// compared against the scalar reference — bit-exact where the contract says
-// bit-exact (EvaluateAll, Axpy), bounded-ULP where per-lane partial sums
-// reassociate (Dot, SquaredNorm, QuadraticForm) — over odd lengths,
-// unaligned tails, and NaN/Inf inputs.
+// compared bit for bit against the scalar reference, over odd lengths,
+// every lane tail, and signed-zero, subnormal, NaN and Inf inputs.
 //
 // This TU is compiled with -ffp-contract=off (tests/CMakeLists.txt) so the
 // in-test scalar references cannot pick up FMA contraction that the kernels
@@ -13,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -71,22 +70,6 @@ std::vector<Tier> SupportedTiers() {
   return out;
 }
 
-std::vector<Tier> VectorTiers() {
-  std::vector<Tier> out;
-  for (Tier t : SupportedTiers()) {
-    if (t != Tier::kScalar) {
-      out.push_back(t);
-    }
-  }
-  return out;
-}
-
-// Reassociation error bound for an n-term sum whose terms have the given
-// absolute sum: n * eps * sum|terms|, with a 4x safety margin.
-double SumBound(std::size_t n, double abs_sum) {
-  return 4.0 * static_cast<double>(n + 1) * std::numeric_limits<double>::epsilon() * abs_sum;
-}
-
 TEST(SimdDispatchTest, TierNamesAndBestTier) {
   EXPECT_STREQ(TierName(Tier::kScalar), "scalar");
   EXPECT_STREQ(TierName(Tier::kAvx2), "avx2");
@@ -116,111 +99,101 @@ TEST(SimdDispatchTest, ForcingUnsupportedTierFailsAndKeepsActive) {
   EXPECT_EQ(ActiveTier(), Tier::kScalar);
 }
 
-// Dot: bounded-ULP vs the scalar tier on every length 1..33 (odd lengths and
-// vector tails included) and on unaligned slices.
-TEST(SimdKernelTest, DotMatchesScalarBoundedUlp) {
+// Bits, except that every NaN matches every NaN: which NaN payload survives
+// an operation with two NaN operands depends on operand order, which the
+// compiler may commute, and is no part of any kernel's contract.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b);
+  }
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The scalar chain the quadratic kernels promise on every tier, written out
+// here so no dispatch tier can reach the reference: row i's dot starts at
+// 0.0 and adds m_ij * y_j in column order, and the outer sum starts at 0.0
+// and adds x_i * dot_i in row order.
+double QuadraticChain(const double* x, const double* m, const double* y, std::size_t n) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double dot = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      dot += m[i * n + j] * y[j];
+    }
+    sum += x[i] * dot;
+  }
+  return sum;
+}
+
+// QuadraticChain on d = x - p_k for feature-major point k, the mover's
+// distance as the scalar kernel computed it.
+double DistanceChain(const std::vector<double>& x, const std::vector<double>& m,
+                     const std::vector<double>& points, std::size_t stride, std::size_t k) {
+  std::vector<double> d(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    d[i] = x[i] - points[i * stride + k];
+  }
+  return QuadraticChain(d.data(), m.data(), d.data(), x.size());
+}
+
+// Mostly ordinary values in [-2, 2); with probability `special` one of ±0.0,
+// a subnormal, ±Inf or NaN.
+double SweepValue(Rng& rng, double special) {
+  constexpr double kSpecials[] = {0.0,
+                                  -0.0,
+                                  std::numeric_limits<double>::denorm_min(),
+                                  -3.0 * std::numeric_limits<double>::denorm_min(),
+                                  1e-310,
+                                  kInf,
+                                  -kInf,
+                                  kNaN};
+  const double u = 0.25 * (rng.Next() + 2.0);  // in [0, 1)
+  if (u >= special) {
+    return rng.Next();
+  }
+  return kSpecials[static_cast<std::size_t>(0.25 * (rng.Next() + 2.0) * 8.0) % 8];
+}
+
+// QuadraticForm (the Mahalanobis^2 every classification carries) is the
+// scalar chain on every tier, for row counts on both sides of the AVX2
+// tier's four-row blocks and a non-symmetric matrix.
+TEST(SimdKernelTest, QuadraticFormIsBitIdenticalAcrossTiers) {
   TierGuard guard;
-  for (std::size_t n = 1; n <= 33; ++n) {
-    Rng rng(1000 + n);
-    const std::vector<double> a = rng.Fill(n + 1);
-    const std::vector<double> b = rng.Fill(n + 1);
-    // offset 1 makes the slice deliberately misaligned for 16/32-byte loads.
-    for (std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
-      const VecView av(a.data() + offset, n);
-      const VecView bv(b.data() + offset, n);
-      ASSERT_TRUE(ForceTier(Tier::kScalar));
-      const double reference = simd::Dot(av, bv);
-      double abs_sum = 0.0;
+  for (std::size_t n = 1; n <= kMaxColumns; ++n) {
+    for (const double special : {0.0, 0.05}) {
+      Rng rng(4000 + n);
+      std::vector<double> m(n * n);
+      for (double& v : m) {
+        v = SweepValue(rng, special);
+      }
+      std::vector<double> x(n);
+      std::vector<double> y(n);
       for (std::size_t i = 0; i < n; ++i) {
-        abs_sum += std::fabs(av[i] * bv[i]);
+        x[i] = SweepValue(rng, special);
+        y[i] = SweepValue(rng, special);
       }
-      for (Tier t : VectorTiers()) {
+      const double reference = QuadraticChain(x.data(), m.data(), y.data(), n);
+      for (Tier t : SupportedTiers()) {
         ASSERT_TRUE(ForceTier(t));
-        EXPECT_NEAR(simd::Dot(av, bv), reference, SumBound(n, abs_sum))
-            << TierName(t) << " n=" << n << " offset=" << offset;
+        const double got = simd::QuadraticForm(VecView(x.data(), n), m.data(), VecView(y.data(), n));
+        EXPECT_TRUE(SameBits(got, reference))
+            << TierName(t) << " n=" << n << " special=" << special << ": " << got << " vs "
+            << reference;
       }
     }
   }
 }
 
-TEST(SimdKernelTest, SquaredNormMatchesScalarBoundedUlp) {
-  TierGuard guard;
-  for (std::size_t n = 1; n <= 33; ++n) {
-    Rng rng(2000 + n);
-    const std::vector<double> v = rng.Fill(n);
-    const VecView vv(v.data(), n);
-    ASSERT_TRUE(ForceTier(Tier::kScalar));
-    const double reference = simd::SquaredNorm(vv);
-    for (Tier t : VectorTiers()) {
-      ASSERT_TRUE(ForceTier(t));
-      EXPECT_NEAR(simd::SquaredNorm(vv), reference, SumBound(n, reference))
-          << TierName(t) << " n=" << n;
-    }
-  }
-}
-
-// Axpy is element-wise: bit-identical across every tier, including the
-// scalar tail after the vector body and on unaligned slices.
-TEST(SimdKernelTest, AxpyIsBitIdenticalAcrossTiers) {
-  TierGuard guard;
-  for (std::size_t n = 1; n <= 33; ++n) {
-    Rng rng(3000 + n);
-    const std::vector<double> x = rng.Fill(n + 1);
-    const std::vector<double> y0 = rng.Fill(n + 1);
-    const double alpha = rng.Next();
-    for (std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
-      ASSERT_TRUE(ForceTier(Tier::kScalar));
-      std::vector<double> expected = y0;
-      simd::Axpy(alpha, VecView(x.data() + offset, n), MutVecView(expected.data() + offset, n));
-      for (Tier t : VectorTiers()) {
-        ASSERT_TRUE(ForceTier(t));
-        std::vector<double> got = y0;
-        simd::Axpy(alpha, VecView(x.data() + offset, n), MutVecView(got.data() + offset, n));
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i], expected[i])
-              << TierName(t) << " n=" << n << " offset=" << offset << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, QuadraticFormMatchesScalarBoundedUlp) {
-  TierGuard guard;
-  for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{13},
-                        std::size_t{16}, std::size_t{21}}) {
-    Rng rng(4000 + n);
-    const std::vector<double> m = rng.Fill(n * n);
-    const std::vector<double> x = rng.Fill(n);
-    const std::vector<double> y = rng.Fill(n);
-    const VecView xv(x.data(), n);
-    const VecView yv(y.data(), n);
-    ASSERT_TRUE(ForceTier(Tier::kScalar));
-    const double reference = simd::QuadraticForm(xv, m.data(), yv);
-    double abs_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        abs_sum += std::fabs(x[i] * m[i * n + j] * y[j]);
-      }
-    }
-    for (Tier t : VectorTiers()) {
-      ASSERT_TRUE(ForceTier(t));
-      EXPECT_NEAR(simd::QuadraticForm(xv, m.data(), yv), reference, SumBound(n * n, abs_sum))
-          << TierName(t) << " n=" << n;
-    }
-  }
-}
-
-// NaN/Inf classification must agree across tiers: a NaN term poisons every
-// tier's result; same-signed Inf terms produce that Inf; mixed-sign Inf
-// terms produce NaN no matter how lanes partition the sum.
+// NaN/Inf classification agrees across tiers, down to the bits: a NaN term
+// poisons every row; a lone Inf gives every row that Inf; +Inf and -Inf in
+// the same row give NaN. Every row holds a rotation of the same entries, so
+// every lane of a vector tier meets them.
 TEST(SimdKernelTest, NanAndInfPropagationAgreesAcrossTiers) {
   TierGuard guard;
   for (std::size_t n = 2; n <= 17; ++n) {
     for (int scenario = 0; scenario < 3; ++scenario) {
       Rng rng(5000 + 100 * n + scenario);
       std::vector<double> a = rng.Fill(n);
-      const std::vector<double> b(n, 1.0);
       if (scenario == 0) {
         a[n / 2] = kNaN;
       } else if (scenario == 1) {
@@ -229,25 +202,76 @@ TEST(SimdKernelTest, NanAndInfPropagationAgreesAcrossTiers) {
         a[0] = kInf;
         a[n - 1] = -kInf;
       }
-      const VecView av(a.data(), n);
-      const VecView bv(b.data(), n);
-      ASSERT_TRUE(ForceTier(Tier::kScalar));
-      const double reference = simd::Dot(av, bv);
-      for (Tier t : VectorTiers()) {
-        ASSERT_TRUE(ForceTier(t));
-        const double got = simd::Dot(av, bv);
-        EXPECT_EQ(std::isnan(got), std::isnan(reference))
-            << TierName(t) << " n=" << n << " scenario=" << scenario;
-        if (!std::isnan(reference)) {
-          EXPECT_EQ(got, reference) << TierName(t) << " n=" << n << " scenario=" << scenario;
+      std::vector<double> m(n * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          m[i * n + j] = a[(i + j) % n];
         }
+      }
+      const std::vector<double> ones(n, 1.0);
+      const double reference = QuadraticChain(ones.data(), m.data(), ones.data(), n);
+      EXPECT_EQ(std::isnan(reference), scenario != 1) << "n=" << n;
+      for (Tier t : SupportedTiers()) {
+        ASSERT_TRUE(ForceTier(t));
+        const double got =
+            simd::QuadraticForm(VecView(ones.data(), n), m.data(), VecView(ones.data(), n));
+        EXPECT_TRUE(SameBits(got, reference))
+            << TierName(t) << " n=" << n << " scenario=" << scenario;
       }
     }
   }
 }
 
+// QuadraticDistances is the scalar distance chain on every tier: every
+// dimension up to kMaxColumns (the AVX2 tier's four-row blocks and their
+// row tails), counts 0-9 and 200 (every four-point lane tail), a
+// non-symmetric matrix, a stride wider than the count, and signed zeros,
+// subnormals, Inf and NaN among the entries.
+TEST(SimdKernelTest, QuadraticDistancesIsBitIdenticalToScalarChainOnEveryTier) {
+  TierGuard guard;
+  std::size_t non_finite = 0;
+  for (std::size_t n = 1; n <= kMaxColumns; ++n) {
+    for (const std::size_t count : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 200u}) {
+      for (const double special : {0.0, 0.02, 0.2}) {
+        Rng rng(7000 + 1000 * n + count);
+        const std::size_t stride = count + 3;
+        std::vector<double> m(n * n);
+        for (double& v : m) {
+          v = SweepValue(rng, special);
+        }
+        std::vector<double> x(n);
+        for (double& v : x) {
+          v = SweepValue(rng, special);
+        }
+        std::vector<double> points(n * stride);
+        for (double& v : points) {
+          v = SweepValue(rng, special);
+        }
+        std::vector<double> expected(count);
+        for (std::size_t k = 0; k < count; ++k) {
+          expected[k] = DistanceChain(x, m, points, stride, k);
+          non_finite += std::isfinite(expected[k]) ? 0 : 1;
+        }
+        for (Tier t : SupportedTiers()) {
+          ASSERT_TRUE(ForceTier(t));
+          std::vector<double> out(count + 1, 12345.0);
+          simd::QuadraticDistances(VecView(x.data(), n), m.data(), points.data(), stride,
+                                   MutVecView(out.data(), count));
+          EXPECT_EQ(out[count], 12345.0) << TierName(t) << " wrote past the count";
+          for (std::size_t k = 0; k < count; ++k) {
+            EXPECT_TRUE(SameBits(out[k], expected[k]))
+                << TierName(t) << " n=" << n << " count=" << count << " special=" << special
+                << " k=" << k << ": " << out[k] << " vs " << expected[k];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(non_finite, 0u) << "the sweep never produced a non-finite distance";
+}
+
 // EvaluateAll carries the strongest contract: bit-identical across every
-// tier AND to the classic per-class "bias + simd::Dot(weights_row, feature)"
+// tier AND to the classic per-class "bias + Dot(weights_row, feature)"
 // chain, for any class count (vector blocks, 2/4-wide tails, scalar tails).
 TEST(SimdKernelTest, EvaluateAllIsBitIdenticalAcrossTiersAndToRowForm) {
   TierGuard guard;

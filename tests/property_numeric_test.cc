@@ -163,20 +163,20 @@ TEST_P(IoFuzzSweep, TruncatedAndMutatedInputNeverCrashes) {
   const std::string text = buffer.str();
 
   std::mt19937_64 rng(GetParam());
-  // Truncations at random points: must return nullopt or a valid set, never
+  // Truncations at random points: must return a Status or a valid set, never
   // crash or hang.
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t cut = rng() % text.size();
     std::stringstream in(text.substr(0, cut));
-    (void)io::LoadGestureSet(in);
+    (void)io::LoadGestureSetOr(in);
   }
   // Byte mutations.
   for (int trial = 0; trial < 20; ++trial) {
     std::string mutated = text;
     mutated[rng() % mutated.size()] = static_cast<char>('!' + rng() % 90);
     std::stringstream in(mutated);
-    const auto loaded = io::LoadGestureSet(in);
-    if (loaded.has_value()) {
+    const auto loaded = io::LoadGestureSetOr(in);
+    if (loaded.ok()) {
       // If it parsed, it must be structurally sound.
       EXPECT_LE(loaded->num_classes(), 10u);
     }
@@ -192,8 +192,8 @@ TEST_P(IoFuzzSweep, ClassifierRoundTripUnderReparse) {
   std::stringstream buffer;
   ASSERT_TRUE(io::SaveClassifier(classifier, buffer));
   // Save(Load(Save(x))) == Save(x): the format is a fixed point.
-  auto loaded = io::LoadClassifier(buffer);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = io::LoadClassifierOr(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   std::stringstream buffer2;
   ASSERT_TRUE(io::SaveClassifier(*loaded, buffer2));
   EXPECT_EQ(buffer.str(), buffer2.str());
