@@ -52,7 +52,7 @@ void PrintAucVerdicts(const classify::GestureTrainingSet& training,
     }
     std::printf("  %s: ", training.ClassName(pg.true_class).c_str());
     for (const auto& sub : pg.subgestures) {
-      std::printf("%c", auc.Unambiguous(sub.features) ? '^' : '.');
+      std::printf("%c", auc.Unambiguous(partition.Row(sub.row)) ? '^' : '.');
     }
     std::printf("\n");
   }
@@ -103,7 +103,7 @@ int main() {
   std::size_t complete_total = 0;
   for (const auto& pg : partition.per_gesture) {
     for (const auto& sub : pg.subgestures) {
-      const bool fired = auc.Unambiguous(sub.features);
+      const bool fired = auc.Unambiguous(partition.Row(sub.row));
       if (!sub.EffectivelyComplete() && fired) {
         ++premature;
       }

@@ -17,7 +17,10 @@
 //                  (simd::FirstArgMaxInPrefix) over 16-point chunks.
 // Reports per-point latency (p50/p95 over per-stroke samples) and heap
 // allocations per point for each, into BENCH_hotpath.json (including the
-// dispatch tier that was active, see docs/PERFORMANCE.md).
+// dispatch tier that was active, see docs/PERFORMANCE.md). Each gated pair
+// (legacy/kernel, scalar_view/batched_simd) is timed interleaved stroke by
+// stroke on one pinned thread, the order alternating every rep, so a slow
+// stretch of the host slows both sides of a ratio alike.
 //
 // Exits nonzero when a gate fails:
 //   - kernel and batched paths must allocate ZERO times per steady-state point;
@@ -30,6 +33,11 @@
 // Flags: --reps=N (per-variant stroke replays; default 400, smoke uses less).
 #include "support/counting_new.h"
 //
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -39,6 +47,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -142,29 +151,17 @@ double Percentile(std::vector<double>& samples, double q) {
   return samples[idx];
 }
 
-// Runs `replay(stroke)` reps times over the pool, collecting one ns/point
-// sample per stroke replay, then one counted pass for allocations/point.
+// One variant of an interleaved pair: its replay and the dispatch tier it
+// runs at.
 template <typename Replay>
-VariantStats Measure(const std::vector<geom::Gesture>& pool, std::size_t reps, Replay&& replay) {
-  VariantStats stats;
-  double checksum = 0.0;
-  // Warm-up pass (sizes any lazy buffers, faults in code + data).
-  for (const geom::Gesture& g : pool) {
-    checksum += replay(g).score;
-  }
-  std::vector<double> samples;
-  samples.reserve(reps * pool.size());
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (const geom::Gesture& g : pool) {
-      const Clock::time_point start = Clock::now();
-      checksum += replay(g).score;
-      const Clock::time_point stop = Clock::now();
-      const double ns = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
-      samples.push_back(ns / static_cast<double>(g.size()));
-      stats.points += g.size();
-    }
-  }
+struct Variant {
+  Replay replay;
+  linalg::simd::Tier tier;
+};
+
+// One counted pass over the pool for allocations/point.
+template <typename Replay>
+double AllocsPerPoint(const std::vector<geom::Gesture>& pool, Replay& replay, double& checksum) {
   std::uint64_t counted_points = 0;
   const std::uint64_t allocs = grandma::testsupport::CountAllocations([&] {
     for (const geom::Gesture& g : pool) {
@@ -172,13 +169,81 @@ VariantStats Measure(const std::vector<geom::Gesture>& pool, std::size_t reps, R
       counted_points += g.size();
     }
   });
-  stats.allocs_per_point = static_cast<double>(allocs) / static_cast<double>(counted_points);
-  stats.p50_ns = Percentile(samples, 0.50);
-  stats.p95_ns = Percentile(samples, 0.95);
+  return static_cast<double>(allocs) / static_cast<double>(counted_points);
+}
+
+// Times two variants interleaved stroke by stroke, so a slow stretch of the
+// host lands on both: every rep replays each stroke once per variant, the
+// order alternating between reps, each replay at its variant's tier (set
+// outside the timed region). One ns/point sample per stroke replay, then one
+// counted pass per variant for allocations/point.
+template <typename ReplayA, typename ReplayB>
+std::pair<VariantStats, VariantStats> MeasurePair(const std::vector<geom::Gesture>& pool,
+                                                  std::size_t reps, Variant<ReplayA> a,
+                                                  Variant<ReplayB> b) {
+  namespace simd = linalg::simd;
+  VariantStats stats_a;
+  VariantStats stats_b;
+  double checksum = 0.0;
+  std::vector<double> samples_a;
+  std::vector<double> samples_b;
+  samples_a.reserve(reps * pool.size());
+  samples_b.reserve(reps * pool.size());
+  const auto time = [&](auto& replay, simd::Tier tier, const geom::Gesture& g,
+                        std::vector<double>& samples, VariantStats& stats) {
+    simd::ForceTier(tier);
+    const Clock::time_point start = Clock::now();
+    checksum += replay(g).score;
+    const Clock::time_point stop = Clock::now();
+    const double ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
+    samples.push_back(ns / static_cast<double>(g.size()));
+    stats.points += g.size();
+  };
+  // Warm-up pass (sizes any lazy buffers, faults in code + data).
+  for (const geom::Gesture& g : pool) {
+    simd::ForceTier(a.tier);
+    checksum += a.replay(g).score;
+    simd::ForceTier(b.tier);
+    checksum += b.replay(g).score;
+  }
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (const geom::Gesture& g : pool) {
+      if (rep % 2 == 0) {
+        time(a.replay, a.tier, g, samples_a, stats_a);
+        time(b.replay, b.tier, g, samples_b, stats_b);
+      } else {
+        time(b.replay, b.tier, g, samples_b, stats_b);
+        time(a.replay, a.tier, g, samples_a, stats_a);
+      }
+    }
+  }
+  simd::ForceTier(a.tier);
+  stats_a.allocs_per_point = AllocsPerPoint(pool, a.replay, checksum);
+  simd::ForceTier(b.tier);
+  stats_b.allocs_per_point = AllocsPerPoint(pool, b.replay, checksum);
+  stats_a.p50_ns = Percentile(samples_a, 0.50);
+  stats_a.p95_ns = Percentile(samples_a, 0.95);
+  stats_b.p50_ns = Percentile(samples_b, 0.50);
+  stats_b.p95_ns = Percentile(samples_b, 0.95);
   if (!(checksum == checksum)) {  // keep the work observable
     std::fprintf(stderr, "non-finite checksum\n");
   }
-  return stats;
+  return {stats_a, stats_b};
+}
+
+// Pins the calling thread to the CPU it is running on, so the interleaved
+// variants share one core's caches and clock.
+void PinToCurrentCpu() {
+#if defined(__linux__)
+  const int cpu = sched_getcpu();
+  if (cpu >= 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+  }
+#endif
 }
 
 void PrintVariant(const char* name, const VariantStats& v) {
@@ -214,24 +279,26 @@ int main(int argc, char** argv) {
   const std::vector<geom::Gesture> dense = DensePool(r, pool);
   eager::EagerStream stream(r);
 
-  // Legacy vs kernel at the scalar tier: this pair isolates the allocation
-  // refactor's win, independent of what vector hardware the box has.
-  simd::ForceTier(simd::Tier::kScalar);
-  const VariantStats legacy =
-      Measure(pool, reps, [&](const geom::Gesture& g) { return ReplayLegacy(r, g); });
-  const VariantStats kernel =
-      Measure(pool, reps, [&](const geom::Gesture& g) { return ReplayKernel(stream, g); });
-
-  // Scalar view path over the dense pool, still pinned scalar: the baseline
-  // the SoA/SIMD batched path is gated against.
-  const VariantStats scalar_view =
-      Measure(dense, reps, [&](const geom::Gesture& g) { return ReplayKernel(stream, g); });
-
-  // Batched path at the best tier the hardware (and build) supports.
+  PinToCurrentCpu();
   simd::ResetTier();
   const simd::Tier active = simd::ActiveTier();
-  const VariantStats batched =
-      Measure(dense, reps, [&](const geom::Gesture& g) { return ReplayBatched(stream, g); });
+  const auto replay_legacy = [&](const geom::Gesture& g) { return ReplayLegacy(r, g); };
+  const auto replay_kernel = [&](const geom::Gesture& g) { return ReplayKernel(stream, g); };
+  const auto replay_batched = [&](const geom::Gesture& g) { return ReplayBatched(stream, g); };
+
+  // Legacy vs kernel at the scalar tier: this pair isolates the allocation
+  // refactor's win, independent of what vector hardware the box has.
+  const auto [legacy, kernel] =
+      MeasurePair(pool, reps, Variant{replay_legacy, simd::Tier::kScalar},
+                  Variant{replay_kernel, simd::Tier::kScalar});
+
+  // Scalar view path over the dense pool, still pinned scalar (the baseline
+  // the SoA/SIMD batched path is gated against), against the batched path at
+  // the best tier the hardware (and build) supports.
+  const auto [scalar_view, batched] =
+      MeasurePair(dense, reps, Variant{replay_kernel, simd::Tier::kScalar},
+                  Variant{replay_batched, active});
+  simd::ResetTier();
 
   const double speedup_p50 = legacy.p50_ns / kernel.p50_ns;
   const double speedup_p95 = legacy.p95_ns / kernel.p95_ns;

@@ -35,10 +35,12 @@
 //     their accumulators (the full classifier's examples plus the AUC's
 //     subgestures); train_scatter_ns_per_example is the median full-
 //     classifier plus AUC stage time divided by that count;
-//   - train_mover_distances: squared distances the mover computes (every
-//     full-class mean and every complete subgesture against every non-empty
-//     incomplete set); train_mover_ns_per_distance is the median mover
-//     stage time divided by that count.
+//   - train_mover_distances: the squared distances the mover decides over
+//     (every full-class mean and every complete subgesture against every
+//     non-empty incomplete set); its screen bounds all of them and runs
+//     the exact chain for few (docs/PERFORMANCE.md, "Training").
+//     train_mover_ns_per_distance is the median mover stage time divided
+//     by that count.
 //
 // Flags: --reps=N (per-row stroke replays; default 60, smoke uses less),
 //        --per-class=N (training examples per class; default 8).
@@ -114,9 +116,9 @@ struct SetCounts {
   std::size_t non_empty = 0;
 };
 
-SetCounts CountSets(const std::vector<std::vector<eager::LabeledSubgesture>>& sets) {
+SetCounts CountSets(const std::vector<std::vector<std::size_t>>& sets) {
   SetCounts counts;
-  for (const std::vector<eager::LabeledSubgesture>& set : sets) {
+  for (const std::vector<std::size_t>& set : sets) {
     counts.subgestures += set.size();
     counts.non_empty += set.empty() ? 0 : 1;
   }
@@ -142,8 +144,8 @@ void TimeTrainingStages(const classify::GestureTrainingSet& train, std::size_t r
     start = Clock::now();
     eager::SubgesturePartition partition = eager::LabelSubgestures(full, train);
     labeler_ms.push_back(MsSince(start));
-    // The mover measures every full-class mean and every complete subgesture
-    // against every non-empty incomplete set.
+    // The mover decides over every full-class mean and every complete
+    // subgesture against every non-empty incomplete set.
     row.train_mover_distances =
         (train.num_classes() + CountSets(partition.complete_sets).subgestures) *
         CountSets(partition.incomplete_sets).non_empty;

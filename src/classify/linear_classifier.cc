@@ -16,7 +16,7 @@ namespace grandma::classify {
 
 namespace {
 
-bool AllFinite(const linalg::Vector& v) {
+bool AllFinite(linalg::VecView v) {
   for (double x : v) {
     if (!std::isfinite(x)) {
       return false;
@@ -112,16 +112,24 @@ bool RankInOnePass(linalg::VecView scores, std::span<NBestEntry> out) {
 }  // namespace
 
 double LinearClassifier::Train(const FeatureTrainingSet& data, robust::FaultStats* stats) {
+  return Train(data.rows(), stats);
+}
+
+double LinearClassifier::Train(const TrainingRows& data, robust::FaultStats* stats) {
   TRACE_SPAN("classify.train");
-  const std::size_t num_classes = data.num_classes();
+  const std::size_t num_classes = data.classes.size();
   if (num_classes < 2) {
     throw std::invalid_argument("LinearClassifier::Train needs at least two classes");
   }
-  const std::size_t dim = data.dimension();
-  if (dim == 0) {
+  std::size_t total_examples = 0;
+  for (const std::span<const std::size_t> rows : data.classes) {
+    total_examples += rows.size();
+  }
+  const std::size_t dim = data.dim;
+  if (dim == 0 || total_examples == 0) {
     throw std::invalid_argument("LinearClassifier::Train: empty training data");
   }
-  if (data.total_examples() <= num_classes) {
+  if (total_examples <= num_classes) {
     throw std::invalid_argument(
         "LinearClassifier::Train: need more examples than classes for the pooled covariance");
   }
@@ -131,16 +139,13 @@ double LinearClassifier::Train(const FeatureTrainingSet& data, robust::FaultStat
   linalg::PooledCovariance pooled(dim);
   std::size_t finite_examples = 0;
   for (ClassId c = 0; c < num_classes; ++c) {
-    const auto& examples = data.ExamplesOf(c);
-    if (examples.empty()) {
+    if (data.classes[c].empty()) {
       throw std::invalid_argument("LinearClassifier::Train: class " + std::to_string(c) +
                                   " has no examples");
     }
     linalg::ScatterAccumulator scatter(dim);
-    for (const linalg::Vector& f : examples) {
-      if (f.size() != dim) {
-        throw std::invalid_argument("LinearClassifier::Train: inconsistent dimensions");
-      }
+    for (const std::size_t r : data.classes[c]) {
+      const linalg::VecView f = data.Row(r);
       // A non-finite example would poison the mean and covariance of its
       // whole class; drop it and account for the drop instead.
       if (!AllFinite(f)) {
@@ -243,13 +248,6 @@ ClassId LinearClassifier::BestClassView(linalg::VecView f, linalg::MutVecView sc
   EvaluateInto(f, scores);
   // Dispatched first-max scan: first index wins ties on every tier.
   return static_cast<ClassId>(linalg::simd::ArgMax(scores.data(), scores.size()));
-}
-
-bool LinearClassifier::EvaluateWinnerInPrefix(linalg::VecView f, std::size_t split) const {
-  assert(trained());
-  assert(f.size() == dimension());
-  return linalg::simd::EvaluateArgMaxInPrefix(soa_weights_.data(), class_stride_, biases_.data(),
-                                              f.data(), dimension(), split, num_classes());
 }
 
 std::size_t LinearClassifier::FirstWinnerInPrefix(const double* rows, std::size_t batch,

@@ -76,6 +76,9 @@ class LinearClassifier {
   // vectors are dropped; a singular Sigma is repaired with escalating ridge
   // terms; if even that fails, a diagonal-covariance fallback is used. Only
   // structurally unusable training sets (too few classes/examples) throw.
+  // The rows are read in place; the FeatureTrainingSet flavor trains on
+  // data.rows().
+  double Train(const TrainingRows& data, robust::FaultStats* stats = nullptr);
   double Train(const FeatureTrainingSet& data, robust::FaultStats* stats = nullptr);
 
   bool trained() const { return !weights_.empty(); }
@@ -109,22 +112,17 @@ class LinearClassifier {
   // size num_classes().
   ClassId BestClassView(linalg::VecView f, linalg::MutVecView scores) const;
 
-  // True when BestClassView's winner would land in [0, split) — WITHOUT
-  // materializing the scores (no scratch at all). For class layouts that
-  // keep the interesting subset in a prefix (the AUC's complete-first set
-  // order) this replaces the whole evaluate + argmax + membership-test
-  // chain with one fused sweep of the weight block; the answer is identical
-  // to `BestClassView(f, scores) < split` on every dispatch tier, NaN
-  // features included (see simd::EvaluateArgMaxInPrefix).
-  bool EvaluateWinnerInPrefix(linalg::VecView f, std::size_t split) const;
-
-  // Batched EvaluateWinnerInPrefix over `batch` rows read through a column
-  // list: row r's feature i is rows[r * row_stride + columns[i]] for
-  // i < dimension(). Returns the first row whose answer is true, or `batch`
-  // when none is; each row's answer is bit-identical to
-  // EvaluateWinnerInPrefix on its gathered features (see
-  // simd::FirstArgMaxInPrefix), with or without `filter`, which should come
-  // from BuildFireFilter(split) on the current parameters. No scratch.
+  // The first of `batch` rows whose BestClassView winner lands in [0, split)
+  // — WITHOUT materializing the scores (no scratch at all). Rows are read
+  // through a column list: row r's feature i is rows[r * row_stride +
+  // columns[i]] for i < dimension(). Returns `batch` when no row's winner
+  // does. For class layouts that keep the interesting subset in a prefix
+  // (the AUC's complete-first set order) this replaces the whole evaluate +
+  // argmax + membership-test chain; each row's answer is identical to
+  // `BestClassView(row, scores) < split` on every dispatch tier, NaN features
+  // included (see simd::FirstArgMaxInPrefix), with or without `filter`,
+  // which should come from BuildFireFilter(split) on parameters whose scores
+  // of [0, split) are no lower and of the rest the same.
   std::size_t FirstWinnerInPrefix(const double* rows, std::size_t batch, std::size_t row_stride,
                                   const std::size_t* columns, std::size_t split,
                                   const linalg::simd::FireFilter* filter = nullptr) const;

@@ -48,31 +48,23 @@ std::size_t GestureTrainingSet::total_examples() const {
   return total;
 }
 
-void FeatureTrainingSet::Add(ClassId c, linalg::Vector features) {
+void FeatureTrainingSet::Add(ClassId c, linalg::VecView features) {
   if (examples_.size() <= c) {
     examples_.resize(c + 1);
   }
-  if (!examples_[c].empty() && examples_[c].front().size() != features.size()) {
+  if (count_ == 0) {
+    dim_ = features.size();
+  } else if (features.size() != dim_) {
     throw std::invalid_argument("FeatureTrainingSet::Add: inconsistent feature dimension");
   }
-  examples_[c].push_back(std::move(features));
+  examples_[c].push_back(count_++);
+  block_.insert(block_.end(), features.begin(), features.end());
 }
 
-std::size_t FeatureTrainingSet::total_examples() const {
-  std::size_t total = 0;
-  for (const auto& per_class : examples_) {
-    total += per_class.size();
-  }
-  return total;
-}
-
-std::size_t FeatureTrainingSet::dimension() const {
-  for (const auto& per_class : examples_) {
-    if (!per_class.empty()) {
-      return per_class.front().size();
-    }
-  }
-  return 0;
+TrainingRows FeatureTrainingSet::rows() const {
+  TrainingRows out{block_.data(), dim_, {}};
+  out.classes.assign(examples_.begin(), examples_.end());
+  return out;
 }
 
 bool FeatureTrainingSet::EveryClassHasAtLeast(std::size_t n) const {

@@ -6,6 +6,7 @@
 #define GRANDMA_SRC_CLASSIFY_TRAINING_SET_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -13,6 +14,7 @@
 
 #include "features/feature_vector.h"
 #include "geom/gesture.h"
+#include "linalg/vec_view.h"
 #include "linalg/vector.h"
 
 namespace grandma::classify {
@@ -56,27 +58,48 @@ class GestureTrainingSet {
   std::vector<std::vector<geom::Gesture>> examples_;
 };
 
+// Training examples read in place, grouped by class: class c's examples are
+// the rows listed in classes[c], row r being the `dim` doubles at
+// block + r * dim. What LinearClassifier::Train consumes; FeatureTrainingSet
+// and the eager trainer's subgesture partition both lend their storage
+// this way, so no example is copied on the way in.
+struct TrainingRows {
+  const double* block = nullptr;
+  std::size_t dim = 0;
+  std::vector<std::span<const std::size_t>> classes;
+
+  linalg::VecView Row(std::size_t r) const { return linalg::VecView(block + r * dim, dim); }
+};
+
 // Feature vectors grouped by class; all vectors must share one dimension.
+// The vectors live in one row-major block, in insertion order.
 class FeatureTrainingSet {
  public:
   FeatureTrainingSet() = default;
   explicit FeatureTrainingSet(std::size_t num_classes) : examples_(num_classes) {}
 
   // Grows the class list to at least c+1 classes and appends the example.
-  void Add(ClassId c, linalg::Vector features);
+  void Add(ClassId c, linalg::VecView features);
+  void Add(ClassId c, const linalg::Vector& features) { Add(c, features.view()); }
 
   std::size_t num_classes() const { return examples_.size(); }
-  std::size_t total_examples() const;
+  std::size_t total_examples() const { return count_; }
   // Dimension of the feature vectors; 0 when empty.
-  std::size_t dimension() const;
+  std::size_t dimension() const { return dim_; }
 
-  const std::vector<linalg::Vector>& ExamplesOf(ClassId c) const { return examples_.at(c); }
+  // Block rows of class c's examples, in insertion order.
+  const std::vector<std::size_t>& ExamplesOf(ClassId c) const { return examples_.at(c); }
+  // A view of the whole set; valid while the set is alive and unchanged.
+  TrainingRows rows() const;
 
   // True when every class has at least `n` examples.
   bool EveryClassHasAtLeast(std::size_t n) const;
 
  private:
-  std::vector<std::vector<linalg::Vector>> examples_;
+  std::size_t dim_ = 0;
+  std::size_t count_ = 0;
+  std::vector<double> block_;
+  std::vector<std::vector<std::size_t>> examples_;
 };
 
 // Extracts (masked) features of every gesture in `gestures`, preserving the

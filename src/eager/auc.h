@@ -73,7 +73,10 @@ class Auc {
 
   // D(s): true iff `masked_features` is judged an unambiguous prefix.
   // Allocates internal scratch; the per-point hot path uses UnambiguousView.
-  bool Unambiguous(const linalg::Vector& masked_features) const;
+  bool Unambiguous(linalg::VecView masked_features) const;
+  bool Unambiguous(const linalg::Vector& masked_features) const {
+    return Unambiguous(masked_features.view());
+  }
 
   // Zero-allocation D(s): evaluates the per-set scores into caller scratch
   // (`scores` sized num_sets()) and takes the argmax — no probability, no
@@ -106,6 +109,10 @@ class Auc {
  private:
   // Recomputes num_complete_ / complete_prefix_ from sets_.
   void IndexSets();
+  // D(s) for one masked feature row of a complete-prefix layout: the batched
+  // fire check as a batch of one, screened by `filter` when given.
+  bool WinnerComplete(linalg::VecView masked_features,
+                      const linalg::simd::FireFilter* filter) const;
 
   Mode mode_ = Mode::kUntrained;
   classify::LinearClassifier linear_;

@@ -1,5 +1,6 @@
 #include "eager/subgesture_labeler.h"
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -31,15 +32,25 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
   SubgesturePartition partition;
   partition.complete_sets.resize(num_classes);
   partition.incomplete_sets.resize(num_classes);
+  partition.dim = full.mask().count();
 
   const std::size_t min_prefix = std::max<std::size_t>(options.min_prefix_points, 1);
+  // The feature block is sized once: one row per prefix of at least
+  // min_prefix points.
+  std::size_t total_rows = 0;
+  for (classify::ClassId c = 0; c < training.num_classes(); ++c) {
+    for (const geom::Gesture& g : training.ExamplesOf(c)) {
+      total_rows += g.size() < min_prefix ? 0 : g.size() - (min_prefix - 1);
+    }
+  }
+  partition.features.resize(total_rows * partition.dim);
   // Score and full-feature scratch for the prefix verdicts, reused across
   // every prefix; each prefix's masked features are written straight into
-  // its subgesture's own vector.
+  // its row of the block.
   std::vector<double> scores(full.linear().num_classes());
   const linalg::MutVecView scores_view(scores.data(), scores.size());
   std::array<double, features::kNumFeatures> unmasked{};
-  const std::size_t masked_dim = full.mask().count();
+  std::size_t next_row = 0;
 
   for (classify::ClassId c = 0; c < training.num_classes(); ++c) {
     for (const geom::Gesture& g : training.ExamplesOf(c)) {
@@ -51,7 +62,7 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
 
       // Incremental pass: one feature snapshot per prefix, O(|g|) total.
       features::FeatureExtractor fx;
-      std::vector<LabeledSubgesture> subs;
+      std::vector<LabeledSubgesture>& subs = per_gesture.subgestures;
       subs.reserve(g.size() - (min_prefix - 1));
       for (std::size_t i = 0; i < g.size(); ++i) {
         fx.AddPoint(g[i]);
@@ -60,15 +71,16 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
           continue;
         }
         LabeledSubgesture sub;
+        sub.row = next_row++;
+        const linalg::MutVecView row(partition.features.data() + sub.row * partition.dim,
+                                     partition.dim);
         fx.FeaturesInto(linalg::MutVecView(unmasked.data(), unmasked.size()));
-        sub.features = linalg::Vector(masked_dim);
-        full.mask().ProjectInto(linalg::VecView(unmasked.data(), unmasked.size()),
-                                sub.features.view());
+        full.mask().ProjectInto(linalg::VecView(unmasked.data(), unmasked.size()), row);
         sub.prefix_len = len;
         sub.gesture_len = g.size();
         sub.true_class = c;
-        sub.predicted_class = full.linear().BestClassView(sub.features.view(), scores_view);
-        subs.push_back(std::move(sub));
+        sub.predicted_class = full.linear().BestClassView(row, scores_view);
+        subs.push_back(sub);
       }
 
       // Completeness: a suffix scan — complete iff this prefix and every
@@ -79,7 +91,6 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
         subs[k].complete = all_larger_correct;
       }
 
-      per_gesture.subgestures = std::move(subs);
       partition.per_gesture.push_back(std::move(per_gesture));
     }
   }
@@ -96,11 +107,8 @@ void RebuildSets(SubgesturePartition& partition) {
   }
   for (const GestureSubgestures& gesture : partition.per_gesture) {
     for (const LabeledSubgesture& sub : gesture.subgestures) {
-      if (sub.EffectivelyComplete()) {
-        partition.complete_sets[sub.EffectiveSet()].push_back(sub);
-      } else {
-        partition.incomplete_sets[sub.EffectiveSet()].push_back(sub);
-      }
+      auto& sets = sub.EffectivelyComplete() ? partition.complete_sets : partition.incomplete_sets;
+      sets[sub.EffectiveSet()].push_back(sub.row);
     }
   }
 }

@@ -10,15 +10,15 @@
 
 #include "classify/gesture_classifier.h"
 #include "classify/training_set.h"
-#include "linalg/vector.h"
+#include "linalg/vec_view.h"
 
 namespace grandma::eager {
 
 // One labeled subgesture g[i].
 struct LabeledSubgesture {
-  // Masked feature vector of the prefix (same feature space as the full
-  // classifier trains in).
-  linalg::Vector features;
+  // Row of SubgesturePartition::features holding the prefix's masked
+  // feature vector (same feature space as the full classifier trains in).
+  std::size_t row = 0;
   // Prefix length i (number of points).
   std::size_t prefix_len = 0;
   // Length of the gesture this prefix came from.
@@ -53,14 +53,22 @@ struct GestureSubgestures {
 // its elements (so incomplete right-strokes of a D gesture land in I-<c>
 // where c is whatever class those strokes look like).
 struct SubgesturePartition {
-  // complete_sets[c] holds subgestures the full classifier labels c that are
-  // complete; incomplete_sets[c] holds those labeled c that are incomplete.
-  std::vector<std::vector<LabeledSubgesture>> complete_sets;
-  std::vector<std::vector<LabeledSubgesture>> incomplete_sets;
+  // Masked features of every subgesture, one `dim`-wide row each, in
+  // enumeration order; LabeledSubgesture::row names a subgesture's row.
+  std::size_t dim = 0;
+  std::vector<double> features;
+  // complete_sets[c] lists the rows of subgestures the full classifier
+  // labels c that are complete; incomplete_sets[c] those labeled c that are
+  // incomplete. Rows appear in per_gesture order.
+  std::vector<std::vector<std::size_t>> complete_sets;
+  std::vector<std::vector<std::size_t>> incomplete_sets;
   // Per-example enumeration in original order (used by the accidental-
   // complete mover, which walks each gesture's prefixes largest-to-smallest).
   std::vector<GestureSubgestures> per_gesture;
 
+  linalg::VecView Row(std::size_t r) const {
+    return linalg::VecView(features.data() + r * dim, dim);
+  }
   std::size_t num_classes() const { return complete_sets.size(); }
   std::size_t total_complete() const;
   std::size_t total_incomplete() const;
@@ -80,7 +88,8 @@ SubgesturePartition LabelSubgestures(const classify::GestureClassifier& full,
                                      const LabelerOptions& options = {});
 
 // Recomputes complete_sets/incomplete_sets from per_gesture (the source of
-// truth) after completeness flags or move targets change.
+// truth) after completeness flags or move targets change. Only row indices
+// move; the feature block is untouched.
 void RebuildSets(SubgesturePartition& partition);
 
 }  // namespace grandma::eager

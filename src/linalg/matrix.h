@@ -107,12 +107,12 @@ double QuadraticForm(VecView x, const Matrix& m, VecView y);
 
 // Squared distances from one point to many under the square matrix m:
 // out[k] = (x - p_k)^T m (x - p_k) for k < out.size(), where the points are
-// stored feature-major, p_k[i] = points[i * stride + k]. Runs the dispatched
-// simd::QuadraticDistances, whose every lane computes exactly
-// QuadraticForm's chain on d = x - p_k (every row dot starts at 0.0 and
-// adds in column order, then the outer sum starts at 0.0 and adds in row
-// order), so out[k] is bit-identical to QuadraticForm(x - p_k, m, x - p_k)
-// for any dimension, count and tier. No allocation. m must be x.size()
+// stored feature-major, p_k[i] = points[i * stride + k]. Runs
+// simd::QuadraticDistances, which computes exactly QuadraticForm's chain on
+// d = x - p_k (every row dot starts at 0.0 and adds in column order, then
+// the outer sum starts at 0.0 and adds in row order) with one scalar body on
+// every tier, so out[k] is bit-identical to QuadraticForm(x - p_k, m,
+// x - p_k) for any dimension, count and tier. No allocation. m must be x.size()
 // square (throws std::invalid_argument otherwise).
 void QuadraticDistances(VecView x, const Matrix& m, const double* points, std::size_t stride,
                         MutVecView out);

@@ -5,11 +5,13 @@
 
 namespace grandma::linalg {
 
-void MeanAccumulator::Add(const Vector& sample) {
+void MeanAccumulator::Add(VecView sample) {
   if (sample.size() != sum_.size()) {
     throw std::invalid_argument("MeanAccumulator::Add: dimension mismatch");
   }
-  sum_ += sample;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    sum_[i] += sample[i];
+  }
   ++count_;
 }
 
@@ -20,7 +22,7 @@ Vector MeanAccumulator::Mean() const {
   return sum_ / static_cast<double>(count_);
 }
 
-void ScatterAccumulator::Add(const Vector& sample) {
+void ScatterAccumulator::Add(VecView sample) {
   const std::size_t n = mean_.size();
   if (sample.size() != n) {
     throw std::invalid_argument("ScatterAccumulator::Add: dimension mismatch");

@@ -6,6 +6,7 @@
 #include <cstddef>
 
 #include "linalg/matrix.h"
+#include "linalg/vec_view.h"
 #include "linalg/vector.h"
 
 namespace grandma::linalg {
@@ -15,7 +16,8 @@ class MeanAccumulator {
  public:
   explicit MeanAccumulator(std::size_t dimension) : sum_(dimension) {}
 
-  void Add(const Vector& sample);
+  void Add(VecView sample);
+  void Add(const Vector& sample) { Add(sample.view()); }
 
   std::size_t count() const { return count_; }
   std::size_t dimension() const { return sum_.size(); }
@@ -39,7 +41,8 @@ class ScatterAccumulator {
   // accumulator's own scratch, and each upper-triangle term is added to both
   // (i, j) and (j, i) — the same bits the full-matrix loop adds to each,
   // since the term's two products are summed in commutative IEEE addition.
-  void Add(const Vector& sample);
+  void Add(VecView sample);
+  void Add(const Vector& sample) { Add(sample.view()); }
 
   // Reconstructs an accumulator from persisted moments — the exact inverse
   // of Mean()/Scatter()/count(). Because the Welford recursion only reads

@@ -31,10 +31,7 @@ void UserDelta::AddExample(classify::ClassId c, linalg::VecView masked_features)
   if (per_class_[c] == nullptr) {
     per_class_[c] = std::make_unique<linalg::ScatterAccumulator>(dimension_);
   }
-  // ScatterAccumulator speaks Vector; the copy is per-adapt (slow path), not
-  // per-point, so it does not violate the hot-path allocation contract.
-  linalg::Vector sample(std::vector<double>(masked_features.begin(), masked_features.end()));
-  per_class_[c]->Add(sample);
+  per_class_[c]->Add(masked_features);
   ++examples_;
 }
 

@@ -53,8 +53,8 @@ TEST(AucTest, NoIncompleteTrainingSubgestureJudgedUnambiguous) {
   const AucTrainReport report = auc.Train(f.partition);
   ASSERT_TRUE(report.converged);
   for (classify::ClassId c = 0; c < f.partition.num_classes(); ++c) {
-    for (const auto& sub : f.partition.incomplete_sets[c]) {
-      EXPECT_FALSE(auc.Unambiguous(sub.features));
+    for (const std::size_t row : f.partition.incomplete_sets[c]) {
+      EXPECT_FALSE(auc.Unambiguous(f.partition.Row(row)));
     }
   }
 }
@@ -68,9 +68,9 @@ TEST(AucTest, SomeCompleteSubgesturesJudgedUnambiguous) {
   std::size_t total = 0;
   std::size_t passed = 0;
   for (classify::ClassId c = 0; c < f.partition.num_classes(); ++c) {
-    for (const auto& sub : f.partition.complete_sets[c]) {
+    for (const std::size_t row : f.partition.complete_sets[c]) {
       ++total;
-      passed += auc.Unambiguous(sub.features) ? 1 : 0;
+      passed += auc.Unambiguous(f.partition.Row(row)) ? 1 : 0;
     }
   }
   ASSERT_GT(total, 0u);
@@ -93,8 +93,8 @@ TEST(AucTest, BiasMakesItMoreConservativeThanUnbiased) {
   std::size_t unbiased_fires = 0;
   for (const auto& pg : f.partition.per_gesture) {
     for (const auto& sub : pg.subgestures) {
-      biased_fires += biased.Unambiguous(sub.features) ? 1 : 0;
-      unbiased_fires += unbiased.Unambiguous(sub.features) ? 1 : 0;
+      biased_fires += biased.Unambiguous(f.partition.Row(sub.row)) ? 1 : 0;
+      unbiased_fires += unbiased.Unambiguous(f.partition.Row(sub.row)) ? 1 : 0;
     }
   }
   EXPECT_LE(biased_fires, unbiased_fires);
@@ -113,7 +113,7 @@ TEST(AucTest, DegenerateAllCompleteMeansAlwaysUnambiguous) {
   const AucTrainReport report = auc.Train(f.partition);
   EXPECT_TRUE(report.degenerate);
   EXPECT_EQ(auc.mode(), Auc::Mode::kAlwaysUnambiguous);
-  EXPECT_TRUE(auc.Unambiguous(f.partition.per_gesture[0].subgestures[0].features));
+  EXPECT_TRUE(auc.Unambiguous(f.partition.Row(f.partition.per_gesture[0].subgestures[0].row)));
 }
 
 TEST(AucTest, DegenerateAllIncompleteMeansAlwaysAmbiguous) {
@@ -129,7 +129,7 @@ TEST(AucTest, DegenerateAllIncompleteMeansAlwaysAmbiguous) {
   const AucTrainReport report = auc.Train(f.partition);
   EXPECT_TRUE(report.degenerate);
   EXPECT_EQ(auc.mode(), Auc::Mode::kAlwaysAmbiguous);
-  EXPECT_FALSE(auc.Unambiguous(f.partition.per_gesture[0].subgestures[0].features));
+  EXPECT_FALSE(auc.Unambiguous(f.partition.Row(f.partition.per_gesture[0].subgestures[0].row)));
 }
 
 TEST(AucTest, SetInfoNamesFullClasses) {
@@ -257,9 +257,9 @@ TweakOutcome FullScanTweak(const Auc& untweaked, const SubgesturePartition& part
     ++out.passes;
     std::size_t adjustments = 0;
     for (classify::ClassId c = 0; c < partition.num_classes(); ++c) {
-      for (const LabeledSubgesture& sub : partition.incomplete_sets[c]) {
+      for (const std::size_t row : partition.incomplete_sets[c]) {
         std::vector<double> scores(linear.num_classes());
-        linear.EvaluateAllInto(sub.features.view(),
+        linear.EvaluateAllInto(partition.Row(row),
                                linalg::MutVecView(scores.data(), scores.size()));
         classify::ClassId winner = 0;
         for (classify::ClassId k = 1; k < scores.size(); ++k) {
@@ -328,10 +328,10 @@ Auc ExpectTweakMatchesFullScan(const SubgesturePartition& partition,
   return auc;
 }
 
-Fixture MakeMovedLexicon50() {
+Fixture MakeMovedLexicon(std::size_t classes) {
   Fixture f;
   synth::LexiconOptions lex;
-  lex.num_classes = 50;
+  lex.num_classes = classes;
   f.training = synth::ToTrainingSet(
       synth::GenerateSet(synth::MakeExtensiveLexicon(lex), synth::NoiseModel{}, 8, 1991));
   f.full.Train(f.training);
@@ -346,8 +346,24 @@ TEST(AucTweakPassTest, WorklistMatchesFullScanOnGdp) {
 }
 
 TEST(AucTweakPassTest, WorklistMatchesFullScanOnLexicon50) {
-  const Fixture f = MakeMovedLexicon50();
+  const Fixture f = MakeMovedLexicon(50);
   ExpectTweakMatchesFullScan(f.partition, AucOptions{});
+}
+
+// Above 128 sets the tweak pass screens each subgesture with a fire filter
+// built at the start of its pass (simd::FireFilter, on the AVX2 tier): the
+// biases and counters must still be the unscreened loop's, on every tier.
+TEST(AucTweakPassTest, ScreenedTweakMatchesFullScanAbove128Sets) {
+  const Fixture f = MakeMovedLexicon(100);
+  for (const linalg::simd::Tier t :
+       {linalg::simd::Tier::kScalar, linalg::simd::Tier::kSse2, linalg::simd::Tier::kAvx2}) {
+    if (!linalg::simd::ForceTier(t)) {
+      continue;
+    }
+    const Auc auc = ExpectTweakMatchesFullScan(f.partition, AucOptions{});
+    EXPECT_GT(auc.num_sets(), 128u);
+  }
+  linalg::simd::ResetTier();
 }
 
 // A subgesture with a NaN or infinite feature (dropped from the AUC's
@@ -356,25 +372,29 @@ TEST(AucTweakPassTest, WorklistMatchesFullScanOnLexicon50) {
 // scores may then rise, and the guard must fall back to evaluating every
 // subgesture. Inserted mid-partition, so subgestures before it that pass 0
 // left alone can become tweak targets afterwards.
+// Inserts a subgesture whose features are all zero but the first, `poison`,
+// into the middle of the largest incomplete set.
+void InsertPoisonedSubgesture(SubgesturePartition& partition, double poison) {
+  std::vector<std::size_t>* target = nullptr;
+  for (auto& set : partition.incomplete_sets) {
+    if (set.size() >= 2 && (target == nullptr || set.size() > target->size())) {
+      target = &set;
+    }
+  }
+  ASSERT_NE(target, nullptr);
+  const std::size_t row = partition.features.size() / partition.dim;
+  partition.features.resize(partition.features.size() + partition.dim, 0.0);
+  partition.features[row * partition.dim] = poison;
+  target->insert(target->begin() + static_cast<std::ptrdiff_t>(target->size() / 2), row);
+}
+
 TEST(AucTweakPassTest, NonFiniteGapFallsBackToFullScans) {
   const Fixture f = MakeMoved(synth::MakeGdpSpecs());
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t non_finite_models = 0;
   for (const double poison : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
     SubgesturePartition partition = f.partition;
-    std::vector<LabeledSubgesture>* target = nullptr;
-    for (auto& set : partition.incomplete_sets) {
-      if (set.size() >= 2 && (target == nullptr || set.size() > target->size())) {
-        target = &set;
-      }
-    }
-    ASSERT_NE(target, nullptr);
-    LabeledSubgesture sub = target->front();
-    for (double& v : sub.features) {
-      v = 0.0;
-    }
-    sub.features[0] = poison;
-    target->insert(target->begin() + static_cast<std::ptrdiff_t>(target->size() / 2), sub);
+    InsertPoisonedSubgesture(partition, poison);
 
     AucOptions options;
     options.max_tweak_passes = 6;
@@ -387,6 +407,20 @@ TEST(AucTweakPassTest, NonFiniteGapFallsBackToFullScans) {
     }
   }
   EXPECT_GT(non_finite_models, 0u) << "no poison reached the guard";
+}
+
+// The same above 128 sets, where the pass also drops its fire filter (on
+// the AVX2 tier) once an adjustment breaks the monotone argument.
+TEST(AucTweakPassTest, NonFiniteGapDropsTheFilterAbove128Sets) {
+  const Fixture f = MakeMovedLexicon(100);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    SubgesturePartition partition = f.partition;
+    InsertPoisonedSubgesture(partition, poison);
+    AucOptions options;
+    options.max_tweak_passes = 3;
+    ExpectTweakMatchesFullScan(partition, options);
+  }
 }
 
 }  // namespace

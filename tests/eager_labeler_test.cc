@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "classify/gesture_classifier.h"
+#include "features/extractor.h"
 #include "synth/generator.h"
 #include "synth/sets.h"
 
@@ -57,17 +58,49 @@ TEST(SubgestureLabelerTest, CompletenessIsSuffixClosed) {
   }
 }
 
+// The subgesture of every feature row: rows follow the enumeration order.
+std::vector<const LabeledSubgesture*> SubgestureByRow(const SubgesturePartition& partition) {
+  std::vector<const LabeledSubgesture*> by_row;
+  for (const auto& pg : partition.per_gesture) {
+    for (const auto& sub : pg.subgestures) {
+      by_row.push_back(&sub);
+    }
+  }
+  return by_row;
+}
+
 TEST(SubgestureLabelerTest, SetMembershipKeyedByPredictedClass) {
   const Fixture f = MakeUdFixture();
+  const std::vector<const LabeledSubgesture*> by_row = SubgestureByRow(f.partition);
   for (classify::ClassId c = 0; c < 2; ++c) {
-    for (const auto& sub : f.partition.complete_sets[c]) {
-      EXPECT_EQ(sub.predicted_class, c);
-      EXPECT_TRUE(sub.complete);
+    for (const std::size_t row : f.partition.complete_sets[c]) {
+      EXPECT_EQ(by_row[row]->predicted_class, c);
+      EXPECT_TRUE(by_row[row]->complete);
     }
-    for (const auto& sub : f.partition.incomplete_sets[c]) {
-      EXPECT_EQ(sub.predicted_class, c);
-      EXPECT_FALSE(sub.complete);
+    for (const std::size_t row : f.partition.incomplete_sets[c]) {
+      EXPECT_EQ(by_row[row]->predicted_class, c);
+      EXPECT_FALSE(by_row[row]->complete);
     }
+  }
+}
+
+// One row per subgesture, numbered in enumeration order, each holding the
+// masked features of its prefix.
+TEST(SubgestureLabelerTest, FeatureRowsFollowEnumerationOrder) {
+  const Fixture f = MakeUdFixture();
+  const std::vector<const LabeledSubgesture*> by_row = SubgestureByRow(f.partition);
+  ASSERT_EQ(f.partition.dim, f.full.mask().count());
+  ASSERT_EQ(f.partition.features.size(), by_row.size() * f.partition.dim);
+  for (std::size_t r = 0; r < by_row.size(); ++r) {
+    ASSERT_EQ(by_row[r]->row, r);
+  }
+  const auto& examples = f.training.ExamplesOf(f.partition.per_gesture[0].true_class);
+  const LabeledSubgesture& sub = f.partition.per_gesture[0].subgestures[2];
+  const linalg::Vector expect = f.full.mask().Project(
+      features::ExtractFeatures(examples[0].Subgesture(sub.prefix_len)));
+  const linalg::VecView row = f.partition.Row(sub.row);
+  for (std::size_t i = 0; i < f.partition.dim; ++i) {
+    EXPECT_EQ(row[i], expect[i]) << i;
   }
 }
 

@@ -2,7 +2,7 @@
 // check (simd::FireFilter, used by FirstArgMaxInPrefix above the
 // rows-in-lanes limit of 128 sets). The filter may only ever rule a row out,
 // so on every tier, with and without a filter, every row's answer must equal
-// the scalar EvaluateArgMaxInPrefix reference — on random blocks, on exact
+// the scalar first-max scan of the scores — on random blocks, on exact
 // ties and 1-ulp separations across the split, on extreme features, on
 // blocks the filter must refuse, and through non-identity column lists.
 // Labeled `lexicon` with the other large-lexicon tests.
@@ -117,13 +117,21 @@ struct Block {
     return f;
   }
 
-  // The reference answer: the scalar tier's per-row fused check.
+  // The reference answer: the scalar tier's scores, the strict-> first-max
+  // scan, then winner < split.
   bool Fires(const double* row, const std::vector<std::size_t>& columns) const {
     TierGuard guard;
     EXPECT_TRUE(ForceTier(Tier::kScalar));
     const std::vector<double> f = Gather(row, columns);
-    return EvaluateArgMaxInPrefix(soa.data(), stride, biases.data(), f.data(), dim, split,
-                                  classes);
+    std::vector<double> scores(classes);
+    EvaluateAll(soa.data(), stride, biases.data(), f.data(), dim, scores.data(), classes);
+    std::size_t winner = 0;
+    for (std::size_t c = 1; c < classes; ++c) {
+      if (scores[c] > scores[winner]) {
+        winner = c;
+      }
+    }
+    return winner < split;
   }
 
   // Each class's feature sum without its bias, under the scalar tier: the
